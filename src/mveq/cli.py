@@ -17,7 +17,6 @@ from .generate import generate_random_scenario
 from .io import ParseError, load_scenario, report_to_csv, report_to_json
 from .mvh import pure_investment, uniqueness_of_values
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, validate_scenario
-from .stoch import stoch_integral
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -32,14 +31,6 @@ class ValidationFailure(Exception):
 class NonexistenceVerdict(Exception):
     def __init__(self, report):
         self.report = report
-
-
-def _load(args) -> tuple[Scenario, np.ndarray | None]:
-    scenario, prices = load_scenario(args.input)
-    violations = validate_scenario(scenario, args.tol)
-    if violations:
-        raise ValidationFailure("; ".join(violations))
-    return scenario, prices
 
 
 def _quadratic_report(report: quadratic.EquilibriumReport) -> dict:
@@ -61,8 +52,7 @@ def _quadratic_report(report: quadratic.EquilibriumReport) -> dict:
     return out
 
 
-def cmd_solve_quadratic(args) -> dict:
-    scenario, _ = _load(args)
+def cmd_solve_quadratic(args, scenario: Scenario, prices) -> dict:
     report = quadratic.solve_quadratic(scenario, args.tol)
     out = _quadratic_report(report)
     if report.verdict == "NonexistenceProven":
@@ -70,8 +60,7 @@ def cmd_solve_quadratic(args) -> dict:
     return out
 
 
-def cmd_solve_linear_mv(args) -> dict:
-    scenario, _ = _load(args)
+def cmd_solve_linear_mv(args, scenario: Scenario, prices) -> dict:
     report = linear_mv.solve_linear_mv(scenario, args.tol)
     out = {
         "gamma_bar": report.gamma_bar,
@@ -105,16 +94,11 @@ def _verify_linear(scenario: Scenario, prices, tol) -> dict:
             "verdict": "NotEquilibrium",
             "reason": "uniqueness of value processes fails",
         }
-    from .quadratic import _constant_strategy
-
-    total = np.zeros((tree.n_nodes, scenario.d))
-    for k in range(len(scenario.agents)):
-        _, theta = linear_mv.optimal_mv_strategy(scenario, prices, k, tol)
-        total += theta
-    supply = stoch_integral(
-        tree, _constant_strategy(tree, scenario.eta_bar()), prices
-    )
-    clearing = float(np.max(np.abs(stoch_integral(tree, total, prices) - supply)))
+    strategies = [
+        linear_mv.optimal_mv_strategy(scenario, prices, k, tol)[1]
+        for k in range(len(scenario.agents))
+    ]
+    clearing = quadratic.clearing_residual(scenario, prices, strategies)
     verdict = "Equilibrium" if clearing <= tol else "NotEquilibrium"
     return {
         "verdict": verdict,
@@ -123,8 +107,7 @@ def _verify_linear(scenario: Scenario, prices, tol) -> dict:
     }
 
 
-def cmd_verify(args) -> dict:
-    scenario, prices = _load(args)
+def cmd_verify(args, scenario: Scenario, prices) -> dict:
     if prices is None:
         raise ValidationFailure("verify needs a 'prices' block in the scenario file")
     # the terminal condition is a primitive: reject price blocks that
@@ -138,8 +121,7 @@ def cmd_verify(args) -> dict:
     return _quadratic_report(report)
 
 
-def cmd_frontier(args) -> dict:
-    scenario, prices = _load(args)
+def cmd_frontier(args, scenario: Scenario, prices) -> dict:
     if prices is None:
         if all(isinstance(a.preference, LinearMV) for a in scenario.agents):
             rep = linear_mv.solve_linear_mv(scenario, args.tol)
@@ -150,7 +132,10 @@ def cmd_frontier(args) -> dict:
                 )
             prices = rep.prices
         else:
-            prices = quadratic.solve_quadratic(scenario, args.tol).prices
+            rep = quadratic.solve_quadratic(scenario, args.tol)
+            if rep.verdict == "NonexistenceProven":
+                raise NonexistenceVerdict(_quadratic_report(rep))
+            prices = rep.prices
     out = {"agents": []}
     _, ell = pure_investment(scenario.tree, prices, args.tol)
     for k in range(len(scenario.agents)):
@@ -171,8 +156,7 @@ def cmd_frontier(args) -> dict:
     return out
 
 
-def cmd_check_conditions(args) -> dict:
-    scenario, _ = _load(args)
+def cmd_check_conditions(args, scenario: Scenario, prices) -> dict:
     cond = quadratic.check_necessary_conditions(scenario, args.tol)
     return {
         "passed": cond["passed"],
@@ -187,7 +171,7 @@ def cmd_check_conditions(args) -> dict:
     }
 
 
-def cmd_random_suite(args) -> dict:
+def cmd_random_suite(args, scenario, prices) -> dict:
     rng = np.random.default_rng(args.seed)
     counts = {
         "total": 0,
@@ -236,6 +220,8 @@ def cmd_random_suite(args) -> dict:
     return counts
 
 
+# each handler gets the parsed arguments plus the scenario and price block
+# that ``main`` loaded and validated (both None for random-suite)
 COMMANDS = {
     "solve-quadratic": cmd_solve_quadratic,
     "solve-linear-mv": cmd_solve_linear_mv,
@@ -279,13 +265,15 @@ def main(argv=None) -> int:
     if args.command != "random-suite" and not args.input:
         print("error: --input is required", file=sys.stderr)
         return EXIT_VALIDATION
-    tree = None
+    tree = scenario = prices = None
     try:
         if args.command != "random-suite":
-            # loaded again inside the command handlers; cheap at this scale
-            scenario, _ = load_scenario(args.input)
+            scenario, prices = load_scenario(args.input)
             tree = scenario.tree
-        report = COMMANDS[args.command](args)
+            violations = validate_scenario(scenario, args.tol)
+            if violations:
+                raise ValidationFailure("; ".join(violations))
+        report = COMMANDS[args.command](args, scenario, prices)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

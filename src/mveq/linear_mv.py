@@ -18,9 +18,14 @@ from .mvh import (
     solve_exmvh,
     uniqueness_of_values,
 )
-from .quadratic import construct_prices, _constant_strategy, _full_eta
+from .quadratic import (
+    _constant_strategy,
+    _full_eta,
+    clearing_residual,
+    construct_prices,
+)
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, aggregate_endowment, total_endowment
-from .stoch import delta_bracket_all, martingale_from_terminal, stoch_integral
+from .stoch import martingale_from_terminal, stoch_integral
 
 __all__ = [
     "FrontierData",
@@ -100,14 +105,11 @@ def _is_trivial_regime(s: Scenario, gamma_bar_0: float, tol: float) -> bool:
     risk tolerances."""
     tree = s.tree
     z0 = martingale_from_terminal(tree, gamma_bar_0 - aggregate_endowment(s))
-    for j in range(s.d1):
-        if np.max(np.abs(delta_bracket_all(tree, s.m_fin[:, j], z0))) > tol:
-            return False
-    for j in range(s.d2):
-        mj = martingale_from_terminal(tree, s.dividends[:, j])
-        if np.max(np.abs(delta_bracket_all(tree, mj, z0))) > tol:
-            return False
-    return True
+    mart = np.column_stack(
+        [s.m_fin] + [martingale_from_terminal(tree, d) for d in s.dividends.T]
+    )
+    bracket = tree.child_mean(tree.increments(mart) * tree.increments(z0)[:, None])
+    return not np.any(np.abs(bracket) > tol)
 
 
 def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumReport:
@@ -131,7 +133,6 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     lams = _lambdas(s)
     _, ell = pure_investment(tree, prices, tol)
     report.ell = ell
-    total = np.zeros((tree.n_nodes, s.d))
     for k, lam in enumerate(lams):
         y_k, theta = optimal_mv_strategy(s, prices, k, tol)
         ex = solve_exmvh(tree, prices, total_endowment(s, k), tol)
@@ -139,16 +140,11 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
         report.eps2_k.append(float(ex.sq_error))
         report.y_k.append(y_k)
         report.strategies.append(theta)
-        total += theta
 
     fp = verify_fixed_point(s, prices, gamma_bar, tol)
     report.fp_residual = fp["fp_residual"]
     report.identity_residual = fp["identity_residual"]
-
-    supply = stoch_integral(tree, _constant_strategy(tree, s.eta_bar()), prices)
-    report.clearing_residual = float(
-        np.max(np.abs(stoch_integral(tree, total, prices) - supply))
-    )
+    report.clearing_residual = clearing_residual(s, prices, report.strategies)
     return report
 
 

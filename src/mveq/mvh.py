@@ -51,9 +51,9 @@ class GainsOperator:
     paths: np.ndarray
 
     def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
+        nodes, assets = np.array(self.cols, dtype=int).reshape(-1, 2).T
         theta = np.zeros((self.tree.n_nodes, self.prices.shape[1]))
-        for c, (n, j) in enumerate(self.cols):
-            theta[n, j] = x[c]
+        theta[nodes, assets] = x
         return theta
 
 
@@ -65,13 +65,19 @@ def _as_matrix(prices) -> np.ndarray:
 def build_gains_operator(tree: FiltrationTree, prices) -> GainsOperator:
     prices = _as_matrix(prices)
     d = prices.shape[1]
-    cols = [(int(n), j) for n in tree.nonterminal() for j in range(d)]
+    nonterminal = tree.nonterminal()
+    cols = [(int(n), j) for n in nonterminal for j in range(d)]
+    # first coordinate of each non-terminal node's block of d columns
+    first = np.zeros(tree.n_nodes, dtype=int)
+    first[nonterminal] = d * np.arange(len(nonterminal))
+    step = tree.increments(prices)
+    # a node's gains row is its parent's plus its own step in the parent's
+    # coordinates, filled level by level from the root
     paths = np.zeros((tree.n_nodes, len(cols)))
-    for c, (n, j) in enumerate(cols):
-        for ch in tree.children[n]:
-            step = prices[ch, j] - prices[n, j]
-            for m in tree.subtree(ch):
-                paths[m, c] = step
+    for lvl in tree.nodes_at[1:]:
+        up = tree.parent[lvl]
+        paths[lvl] = paths[up]
+        paths[lvl[:, None], first[up][:, None] + np.arange(d)] = step[lvl]
     terminal = paths[tree.leaves]
     return GainsOperator(
         tree=tree, prices=prices, cols=cols, terminal=terminal, paths=paths
@@ -223,24 +229,26 @@ def opportunity_process(
     h_bar = np.asarray(h_bar, dtype=float)
     op = build_gains_operator(tree, prices)
 
+    col_nodes = np.array([m for m, _ in op.cols], dtype=int)
     L = np.ones(tree.n_nodes)
     v_bar = np.zeros(tree.n_nodes)
     v_bar[tree.leaves] = h_bar
     started: dict[int, np.ndarray] = {}
     for n in tree.nonterminal():
-        sub = set(tree.subtree(n).tolist())
-        col_ids = [c for c, (m, _) in enumerate(op.cols) if m in sub]
-        rows = tree.leaves_under[n]
+        n = int(n)
+        sub = tree.descendants(n)
+        col_ids = np.flatnonzero(sub[col_nodes])
+        rows = np.flatnonzero(sub[tree.leaves])
         a = op.terminal[np.ix_(rows, col_ids)]
-        w = np.sqrt(tree.leaf_probs[rows] / tree.prob[n])
+        cond_p = tree.leaf_probs[rows] / tree.prob[n]
+        w = np.sqrt(cond_p)
         x, *_ = np.linalg.lstsq(w[:, None] * a, w, rcond=RCOND)
         gains = a @ x
-        cond_p = tree.leaf_probs[rows] / tree.prob[n]
-        L[int(n)] = float(cond_p @ (1.0 - gains) ** 2)
-        v_bar[int(n)] = float(cond_p @ (h_bar[rows] * (1.0 - gains))) / L[int(n)]
+        L[n] = float(cond_p @ (1.0 - gains) ** 2)
+        v_bar[n] = float(cond_p @ (h_bar[rows] * (1.0 - gains))) / L[n]
         full = np.zeros(len(op.cols))
         full[col_ids] = x
-        started[int(n)] = op.theta_from_coords(full)
+        started[n] = op.theta_from_coords(full)
 
     theta0 = started[0]
     m0 = L * (1.0 - stoch_integral(tree, theta0, prices))

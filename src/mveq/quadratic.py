@@ -23,10 +23,10 @@ from .scenario import (
     total_endowment,
 )
 from .stoch import (
-    delta_bracket_all,
     gkw_decompose,
     is_martingale,
     martingale_from_terminal,
+    restarted_exponential,
     stoch_integral,
 )
 from .tree import FiltrationTree
@@ -39,6 +39,7 @@ __all__ = [
     "construct_regular",
     "construct_degenerate",
     "check_necessary_conditions",
+    "clearing_residual",
     "individual_optimal",
     "representative_check",
     "verify_equilibrium",
@@ -98,34 +99,17 @@ def _financial_prices(tree, s0_fin, m_fin, z_bar, xi, tol, degenerate):
     """Martingale part plus the equilibrium drift.  In the degenerate
     variant the drift increment is switched off wherever the density
     vanishes."""
-    d1 = m_fin.shape[1]
-    prices = np.zeros((tree.n_nodes, d1))
-    a = np.zeros((tree.n_nodes, d1))
-    for n in tree.nonterminal():
-        cs = tree.children[n]
-        w = tree.child_weights(n)
-        alive = abs(z_bar[n]) > tol
-        if not alive and not degenerate:
-            raise ValueError("density process vanishes; use the degenerate construction")
-        for j in range(d1):
-            if alive:
-                dbr = np.array(
-                    [
-                        w
-                        @ (
-                            (m_fin[cs, i] - m_fin[n, i])
-                            * (m_fin[cs, j] - m_fin[n, j])
-                        )
-                        for i in range(d1)
-                    ]
-                )
-                da = -(xi[n] @ dbr) / z_bar[n]
-            else:
-                da = 0.0
-            a[cs, j] = a[n, j] + da
-    for j in range(d1):
-        prices[:, j] = s0_fin[j] + m_fin[:, j] + a[:, j]
-    return prices
+    alive = np.abs(z_bar) > tol
+    if not degenerate and not np.all(alive[tree.nonterminal()]):
+        raise ValueError("density process vanishes; use the degenerate construction")
+    dm = tree.increments(m_fin)
+    bracket = tree.child_mean(dm[:, :, None] * dm[:, None, :])  # E[dM_i dM_j | n]
+    da = np.zeros_like(m_fin)
+    np.divide(-np.einsum("ni,nij->nj", xi, bracket), z_bar[:, None], out=da,
+              where=alive[:, None])
+    a = np.zeros_like(m_fin)
+    a[1:] = da[tree.parent[1:]]
+    return s0_fin + m_fin + tree.accumulate(a)
 
 
 def _productive_prices_regular(tree, h_bar, dividends, z_bar):
@@ -141,20 +125,13 @@ def _productive_prices_degenerate(tree, dividends, z_bar, tol):
     """Backward recursion pricing with the restarted exponential: each
     node prices the dividend under the multiplicative restart of the
     density at that node."""
-    d2 = dividends.shape[1]
-    prices = np.zeros((tree.n_nodes, d2))
+    z_prev = z_bar[tree.parent[1:]]
+    growth = np.ones(tree.n_nodes)
+    np.divide(z_bar[1:], z_prev, out=growth[1:], where=np.abs(z_prev) > tol)
+    prices = np.zeros((tree.n_nodes, dividends.shape[1]))
     prices[tree.leaves] = dividends
-    for n in range(tree.n_nodes - 1, -1, -1):
-        cs = tree.children[n]
-        if not cs:
-            continue
-        w = tree.child_weights(n)
-        if abs(z_bar[n]) > tol:
-            growth = z_bar[cs] / z_bar[n]
-        else:
-            growth = np.ones(len(cs))
-        for j in range(d2):
-            prices[n, j] = w @ (growth * prices[cs, j])
+    for lvl in reversed(tree.nodes_at[:-1]):
+        prices[lvl] = tree.child_mean(growth[:, None] * prices)[lvl]
     return prices
 
 
@@ -211,22 +188,20 @@ def check_necessary_conditions(s: Scenario, tol: float = DEFAULT_TOL) -> dict:
     cond_xi: list[tuple[int, int, float]] = []
     cond_g: list[tuple[int, int, float]] = []
 
+    dead = np.abs(agg.z_bar) <= tol
+    dead[tree.leaves] = False
+
     if s.d1 > 0:
         gkw = gkw_decompose(tree, agg.z_bar, s.m_fin, tol)
-        for n in tree.nonterminal():
-            if abs(agg.z_bar[n]) > tol:
-                continue
-            for i in range(s.d1):
-                dbr = delta_bracket_all(tree, s.m_fin[:, i], s.m_fin[:, i])[n]
-                val = gkw.xi[n, i] * dbr
-                if abs(val) > tol:
-                    cond_xi.append((int(n), i, float(val)))
+        dm = tree.increments(s.m_fin)
+        val = gkw.xi * tree.child_mean(dm * dm)
+        for n, i in np.argwhere(dead[:, None] & (np.abs(val) > tol)):
+            cond_xi.append((int(n), int(i), float(val[n, i])))
 
     for j in range(s.d2):
         num = martingale_from_terminal(tree, agg.h_bar * s.dividends[:, j])
-        for n in tree.nonterminal():
-            if abs(agg.z_bar[n]) <= tol and abs(num[n]) > tol:
-                cond_g.append((int(n), j, float(num[n])))
+        for n in np.flatnonzero(dead & (np.abs(num) > tol)):
+            cond_g.append((int(n), j, float(num[n])))
 
     return {
         "cond_xi_failures": cond_xi,
@@ -239,19 +214,10 @@ def restart_martingale_failures(
     tree: FiltrationTree, z_bar, tol: float = DEFAULT_TOL
 ) -> list[int]:
     """Start times whose restarted exponential fails the martingale check."""
-    from .stoch import restarted_exponential
-
     bad = []
     for start in range(tree.horizon + 1):
         rexp = restarted_exponential(tree, z_bar, start, tol)
-        worst = 0.0
-        for n in tree.nonterminal():
-            if tree.time[n] < start:
-                continue
-            cs = tree.children[n]
-            drift = tree.child_weights(n) @ rexp[cs] - rexp[n]
-            worst = max(worst, abs(float(drift)))
-        if worst > tol:
+        if not is_martingale(tree, rexp, tol)[1]:
             bad.append(start)
     return bad
 
@@ -318,6 +284,16 @@ def individual_optimal(
     return theta, report
 
 
+def clearing_residual(s: Scenario, prices, strategies) -> float:
+    """Market clearing at the gains-path level: the largest gap, over all
+    nodes, between the gains of the summed strategies and those of the
+    aggregate supply held buy-and-hold."""
+    tree = s.tree
+    total = sum(strategies, np.zeros((tree.n_nodes, s.d)))
+    supply = stoch_integral(tree, _constant_strategy(tree, s.eta_bar()), prices)
+    return float(np.max(np.abs(stoch_integral(tree, total, prices) - supply)))
+
+
 def representative_check(
     s: Scenario, prices, tol: float = DEFAULT_TOL
 ) -> tuple[float, bool]:
@@ -354,17 +330,17 @@ def verify_equilibrium(
             reason="terminal prices do not match the dividends",
             prices=prices,
         )
-    for j in range(s.d1):
-        drift = prices[:, j] - s.m_fin[:, j]
-        for n in tree.nonterminal():
-            cs = tree.children[n]
-            inc = drift[cs] - drift[n]
-            if np.max(np.abs(inc - inc[0])) > tol:
-                return EquilibriumReport(
-                    verdict="NotEquilibrium",
-                    reason="financial price does not respect the given martingale part",
-                    prices=prices,
-                )
+    if s.d1 > 0:
+        # the drift must be predictable: each increment equals its
+        # conditional mean given the parent node
+        inc = tree.increments(prices[:, : s.d1] - s.m_fin)
+        spread = inc[1:] - tree.child_mean(inc)[tree.parent[1:]]
+        if np.max(np.abs(spread)) > tol:
+            return EquilibriumReport(
+                verdict="NotEquilibrium",
+                reason="financial price does not respect the given martingale part",
+                prices=prices,
+            )
 
     strategies = []
     gaps = []
@@ -377,11 +353,7 @@ def verify_equilibrium(
         err = float(tree.leaf_probs @ (gains[tree.leaves] - hk) ** 2)
         gaps.append(err - rep["mvh_sq_error"])
 
-    total = sum(strategies)
-    supply_gains = stoch_integral(tree, _constant_strategy(tree, agg.eta_bar), prices)
-    clearing = float(
-        np.max(np.abs(stoch_integral(tree, total, prices) - supply_gains))
-    )
+    clearing = clearing_residual(s, prices, strategies)
 
     mart_res = 0.0
     for j in range(s.d):

@@ -129,16 +129,15 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list[str]:
     if s.d1 > 0 and np.max(np.abs(s.m_fin[0])) > tol:
         violations.append("martingale parts must start at 0")
     if np.all(tree.prob > 0):
+        nt = tree.nonterminal()
+        drift = tree.child_mean(s.m_fin)[nt] - s.m_fin[nt]
         for j in range(s.d1):
-            for n in tree.nonterminal():
-                w = tree.child_weights(n)
-                drift = w @ s.m_fin[tree.children[n], j] - s.m_fin[n, j]
-                if abs(drift) > tol:
-                    violations.append(
-                        f"m_fin component {j} is not a martingale "
-                        f"(drift {drift!r} at node {n})"
-                    )
-                    break
+            bad = np.flatnonzero(np.abs(drift[:, j]) > tol)
+            if len(bad):
+                violations.append(
+                    f"m_fin component {j} is not a martingale "
+                    f"(drift {drift[bad[0], j]!r} at node {nt[bad[0]]})"
+                )
 
     for k, agent in enumerate(s.agents):
         if agent.eta2.shape != (s.d2,):

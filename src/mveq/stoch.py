@@ -20,7 +20,6 @@ __all__ = [
     "cond_expect",
     "martingale_from_terminal",
     "delta_bracket",
-    "delta_bracket_all",
     "gkw_decompose",
     "GkwDecomposition",
     "stoch_integral",
@@ -33,23 +32,15 @@ def cond_expect(tree: FiltrationTree, x_leaf, t: int) -> np.ndarray:
     """E[x | F_t], one value per time-t node (ordered by node id)."""
     if not 0 <= t <= tree.horizon:
         raise ValueError(f"time {t} outside 0..{tree.horizon}")
-    x_leaf = np.asarray(x_leaf, dtype=float)
-    out = np.empty(len(tree.nodes_at[t]))
-    for i, n in enumerate(tree.nodes_at[t]):
-        rows = tree.leaves_under[n]
-        out[i] = tree.leaf_probs[rows] @ x_leaf[rows] / tree.prob[n]
-    return out
+    return martingale_from_terminal(tree, x_leaf)[tree.nodes_at[t]]
 
 
 def martingale_from_terminal(tree: FiltrationTree, x_leaf) -> np.ndarray:
     """The martingale closed by the leaf values, one value per node."""
-    x_leaf = np.asarray(x_leaf, dtype=float)
     out = np.zeros(tree.n_nodes)
-    out[tree.leaves] = x_leaf
-    for n in range(tree.n_nodes - 1, -1, -1):
-        cs = tree.children[n]
-        if cs:
-            out[n] = tree.child_weights(n) @ out[cs]
+    out[tree.leaves] = np.asarray(x_leaf, dtype=float)
+    for lvl in reversed(tree.nodes_at[:-1]):
+        out[lvl] = tree.child_mean(out)[lvl]
     return out
 
 
@@ -66,29 +57,10 @@ def delta_bracket(
     martingales, one value per time-(t-1) node."""
     if not 1 <= t <= tree.horizon:
         raise ValueError(f"time {t} outside 1..{tree.horizon}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     _check_martingale(tree, a, tol, "first input")
     _check_martingale(tree, b, tol, "second input")
-    out = np.empty(len(tree.nodes_at[t - 1]))
-    for i, n in enumerate(tree.nodes_at[t - 1]):
-        cs = tree.children[n]
-        w = tree.child_weights(n)
-        out[i] = w @ ((a[cs] - a[n]) * (b[cs] - b[n]))
-    return out
-
-
-def delta_bracket_all(tree: FiltrationTree, a, b) -> np.ndarray:
-    """Bracket increment over the step starting at each node, as an array
-    over all nodes (zero at leaves).  No martingale check; internal use."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros(tree.n_nodes)
-    for n in tree.nonterminal():
-        cs = tree.children[n]
-        w = tree.child_weights(n)
-        out[n] = w @ ((a[cs] - a[n]) * (b[cs] - b[n]))
-    return out
+    bracket = tree.child_mean(tree.increments(a) * tree.increments(b))
+    return bracket[tree.nodes_at[t - 1]]
 
 
 @dataclass(frozen=True)
@@ -122,36 +94,35 @@ def gkw_decompose(
     for j in range(d1):
         _check_martingale(tree, m[:, j], tol, f"m[{j}]")
 
-    xi = np.zeros((tree.n_nodes, d1))
-    residual = np.zeros(tree.n_nodes)
-    for n in tree.nonterminal():
-        cs = tree.children[n]
-        w = tree.child_weights(n)
-        dz = z[cs] - z[n]
-        dm = m[cs] - m[n]  # (n_children, d1)
+    n = tree.n_nodes
+    parent = tree.parent[1:]
+    dz = tree.increments(z)
+    dm = tree.increments(m)  # (n_nodes, d1), child-indexed
 
-        def inner(x, y):
-            return float(w @ (x * y))
+    def inner(x, y):
+        return tree.child_mean(x * y)
 
-        # Gram-Schmidt over the reference increments, tracking how each
-        # orthogonal direction expands in the original columns.
-        xi_n = np.zeros(d1)
-        basis: list[tuple[np.ndarray, np.ndarray]] = []  # (direction, expansion)
-        for i in range(d1):
-            o = dm[:, i].copy()
-            coeffs = np.zeros(d1)
-            coeffs[i] = 1.0
-            for ob, cb in basis:
-                c = inner(dm[:, i], ob) / inner(ob, ob)
-                o -= c * ob
-                coeffs -= c * cb
-            nrm = inner(o, o)
-            if nrm > tol:
-                basis.append((o, coeffs))
-                xi_n += (inner(dz, o) / nrm) * coeffs
-        xi[n] = xi_n
-        dres = dz - dm @ xi_n
-        residual[cs] = residual[n] + dres
+    # Gram-Schmidt over the reference increments at every node at once,
+    # tracking how each orthogonal direction expands in the original
+    # columns; a direction only enters a node's basis where it is kept.
+    xi = np.zeros((n, d1))
+    basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for i in range(d1):
+        o = dm[:, i].copy()
+        coeffs = np.zeros((n, d1))
+        coeffs[:, i] = 1.0
+        for ob, cb, nb in basis:
+            c = np.divide(inner(dm[:, i], ob), nb, out=np.zeros(n),
+                          where=nb > tol)
+            o[1:] -= c[parent] * ob[1:]
+            coeffs -= c[:, None] * cb
+        nrm = inner(o, o)
+        basis.append((o, coeffs, nrm))
+        coef = np.divide(inner(dz, o), nrm, out=np.zeros(n), where=nrm > tol)
+        xi += coef[:, None] * coeffs
+    dres = np.zeros(n)
+    dres[1:] = dz[1:] - np.sum(dm[1:] * xi[parent], axis=1)
+    residual = tree.accumulate(dres)
     return GkwDecomposition(xi=xi, residual=residual, z0=float(z[0]))
 
 
@@ -165,11 +136,9 @@ def stoch_integral(tree: FiltrationTree, theta, s) -> np.ndarray:
         s = s[:, None]
     if theta.ndim == 1:
         theta = theta[:, None]
-    out = np.zeros(tree.n_nodes)
-    for n in tree.nonterminal():
-        for c in tree.children[n]:
-            out[c] = out[n] + theta[n] @ (s[c] - s[n])
-    return out
+    gains = np.zeros(tree.n_nodes)
+    gains[1:] = np.sum(theta[tree.parent[1:]] * tree.increments(s)[1:], axis=1)
+    return tree.accumulate(gains)
 
 
 def restarted_exponential(
@@ -185,26 +154,24 @@ def restarted_exponential(
     if not 0 <= s <= tree.horizon:
         raise ValueError(f"time {s} outside 0..{tree.horizon}")
     z = np.asarray(z, dtype=float)
-    out = np.full(tree.n_nodes, np.nan)
-    out[tree.nodes_at[s]] = 1.0
-    for n in range(tree.n_nodes):
-        if tree.time[n] < s or not tree.children[n]:
-            continue
-        for c in tree.children[n]:
-            dn = (z[c] - z[n]) / z[n] if abs(z[n]) > tol else 0.0
-            out[c] = out[n] * (1.0 + dn)
-    return out
+    z_prev = z[tree.parent[1:]]
+    ratio = np.zeros(tree.n_nodes - 1)
+    np.divide(z[1:] - z_prev, z_prev, out=ratio, where=np.abs(z_prev) > tol)
+    out = np.where(tree.time < s, np.nan, 1.0)
+    later = tree.time[1:] > s
+    out[1:][later] = 1.0 + ratio[later]
+    return tree.accumulate(out, s, np.multiply)
 
 
 def is_martingale(
     tree: FiltrationTree, x, tol: float = DEFAULT_TOL
 ) -> tuple[float, bool]:
     """Max absolute one-step drift of an adapted scalar process and whether
-    it stays within ``tol``."""
+    it stays within ``tol``.  Nodes whose drift is NaN (the process is
+    undefined there, as before the start of a restarted exponential) are
+    skipped."""
     x = np.asarray(x, dtype=float)
-    worst = 0.0
-    for n in tree.nonterminal():
-        cs = tree.children[n]
-        drift = tree.child_weights(n) @ x[cs] - x[n]
-        worst = max(worst, abs(float(drift)))
+    nt = tree.nonterminal()
+    drift = np.abs(tree.child_mean(x)[nt] - x[nt])
+    worst = float(np.max(drift, initial=0.0, where=~np.isnan(drift)))
     return worst, worst <= tol

@@ -3,9 +3,9 @@
 Conventions used throughout the package:
 
 * Nodes carry integer ids ``0 .. n_nodes-1`` with node 0 the unique root
-  (time 0).  Children ids are strictly larger than their parent's id, so a
-  single forward (resp. backward) sweep over node ids walks the tree from
-  the root down (resp. from the leaves up).
+  (time 0).  Children ids are strictly larger than their parent's id;
+  sibling ids need not be contiguous and children lists may come in any
+  order.
 * All leaves sit at the horizon ``T``; the time-t nodes are the atoms of
   the time-t sigma-algebra.
 * An *adapted* scalar process is a ``numpy`` array of shape ``(n_nodes,)``;
@@ -15,6 +15,13 @@ Conventions used throughout the package:
   entries are only meaningful at non-terminal nodes.
 * A *leaf-indexed* vector lists one value per leaf, in increasing order of
   the leaf node ids.
+
+Every tree sweep is built from two step primitives that work on the
+``parent`` array and the per-time node lists ``nodes_at``:
+:meth:`FiltrationTree.child_mean`, ``E[y_child | node]`` at every node at
+once (backward sweeps apply it level by level from the horizon), and
+:meth:`FiltrationTree.accumulate`, the forward sweep ``out[c] =
+out[parent[c]] + inc[c]`` level by level from the root.
 """
 
 from __future__ import annotations
@@ -64,9 +71,12 @@ class FiltrationTree:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
-        self.leaves = np.array([i for i in range(n) if not self.children[i]])
+        has_children = np.array([bool(cs) for cs in self.children])
+        self.leaves = np.flatnonzero(~has_children)
         if np.any(self.time[self.leaves] != self.horizon):
             raise ValueError("all leaves must sit at the horizon")
+        self._nonterminal = np.flatnonzero(has_children)
+        self._nonterminal.flags.writeable = False
 
         leaf_probs = np.asarray(leaf_probs, dtype=float)
         if leaf_probs.shape != (len(self.leaves),):
@@ -80,25 +90,23 @@ class FiltrationTree:
         self.leaf_row = np.full(n, -1, dtype=int)
         self.leaf_row[self.leaves] = np.arange(len(self.leaves))
 
-        # leaf rows lying under each node
-        self.leaves_under: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        for i in range(n - 1, -1, -1):
-            if not self.children[i]:
-                self.leaves_under[i] = np.array([self.leaf_row[i]])
-            else:
-                self.leaves_under[i] = np.concatenate(
-                    [self.leaves_under[c] for c in self.children[i]]
-                )
-
         self.prob = np.zeros(n)
         self.prob[self.leaves] = leaf_probs
         for i in range(n - 1, 0, -1):
             self.prob[parent[i]] += self.prob[i]
 
         self.nodes_at = [
-            np.array([i for i in range(n) if self.time[i] == t])
-            for t in range(self.horizon + 1)
+            np.flatnonzero(self.time == t) for t in range(self.horizon + 1)
         ]
+
+        # conditional probability of each node given its parent (1 at the
+        # root); when a non-terminal node has nonpositive probability the
+        # steps out of it are undefined and child_mean raises instead
+        bad = self._nonterminal[self.prob[self._nonterminal] <= 0]
+        self._bad_node = int(bad[0]) if len(bad) else None
+        self.cond_prob = np.ones(n)
+        if self._bad_node is None:
+            self.cond_prob[1:] = self.prob[1:] / self.prob[parent[1:]]
 
     @property
     def n_nodes(self) -> int:
@@ -109,8 +117,8 @@ class FiltrationTree:
         return len(self.leaves)
 
     def nonterminal(self) -> np.ndarray:
-        """Ids of all nodes strictly before the horizon."""
-        return np.array([i for i in range(self.n_nodes) if self.children[i]])
+        """Ids of all nodes strictly before the horizon (read-only)."""
+        return self._nonterminal
 
     def child_weights(self, node: int) -> np.ndarray:
         """Conditional probabilities of the children given the node."""
@@ -119,6 +127,43 @@ class FiltrationTree:
         if p <= 0:
             raise ValueError(f"node {node} has nonpositive probability")
         return self.prob[cs] / p
+
+    def increments(self, x) -> np.ndarray:
+        """One-step increments ``x[c] - x[parent[c]]`` of an adapted
+        process, one per node (0 at the root)."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        out[1:] = x[1:] - x[self.parent[1:]]
+        return out
+
+    def child_mean(self, y) -> np.ndarray:
+        """Conditional mean ``E[y_child | node]`` of a child-indexed array
+        (shape ``(n_nodes, ...)``; the root entry is ignored), at every
+        node at once; 0 at the leaves."""
+        if self._bad_node is not None:
+            raise ValueError(f"node {self._bad_node} has nonpositive probability")
+        y = np.asarray(y, dtype=float)
+        n = self.n_nodes
+        cols = y.reshape(n, -1)[1:] * self.cond_prob[1:, None]
+        out = np.empty((n, cols.shape[1]))
+        for j in range(cols.shape[1]):
+            out[:, j] = np.bincount(self.parent[1:], weights=cols[:, j], minlength=n)
+        return out.reshape(y.shape)
+
+    def accumulate(self, x: np.ndarray, start: int = 0, op=np.add) -> np.ndarray:
+        """Forward sweep in place: ``x[c] = op(x[parent[c]], x[c])`` for
+        every node after time ``start``, level by level from the root.
+        Entries at times up to ``start`` are left as they are.  Returns
+        ``x``."""
+        for lvl in self.nodes_at[start + 1 :]:
+            x[lvl] = op(x[self.parent[lvl]], x[lvl])
+        return x
+
+    def descendants(self, node: int) -> np.ndarray:
+        """Boolean mask of the subtree rooted at ``node`` (inclusive)."""
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        mask[node] = True
+        return self.accumulate(mask, int(self.time[node]), np.logical_or)
 
     def path(self, node: int) -> list[int]:
         """Node ids from the root to ``node`` inclusive."""
@@ -129,9 +174,4 @@ class FiltrationTree:
 
     def subtree(self, node: int) -> np.ndarray:
         """Ids of all nodes in the subtree rooted at ``node``."""
-        out = [node]
-        i = 0
-        while i < len(out):
-            out.extend(self.children[out[i]])
-            i += 1
-        return np.array(sorted(out))
+        return np.flatnonzero(self.descendants(node))

@@ -120,8 +120,10 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
 
     # proven nonexistence on the quadratic side -> exit 3
     path = write_scenario(tmp_path / "cp.json", scen_c_prime)
-    assert run_cli(["solve-quadratic", "--input", path]) == 3
-    capsys.readouterr()
+    for command in ("solve-quadratic", "frontier"):
+        assert run_cli([command, "--input", path]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "NonexistenceProven"
 
     # parse error -> exit 1
     bad = tmp_path / "bad.json"
@@ -134,6 +136,24 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(doc))
     assert run_cli(["solve-linear-mv", "--input", str(invalid)]) == 2
+    capsys.readouterr()
+
+
+def test_cli_loads_scenario_once(scen_a, tmp_path, capsys, monkeypatch):
+    import mveq.cli
+
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_scenario(path)
+
+    monkeypatch.setattr(mveq.cli, "load_scenario", counting_load)
+    path = write_scenario(tmp_path / "a.json", scen_a)
+    for command in ("solve-quadratic", "frontier", "check-conditions"):
+        calls.clear()
+        assert run_cli([command, "--input", path]) == 0
+        assert calls == [path]
     capsys.readouterr()
 
 
