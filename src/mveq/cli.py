@@ -15,7 +15,7 @@ import numpy as np
 from . import linear_mv, quadratic
 from .generate import generate_random_scenario
 from .io import ParseError, load_scenario, report_to_csv, report_to_json
-from .mvh import pure_investment, uniqueness_of_values
+from .mvh import build_gains_operator
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, validate_scenario
 
 EXIT_OK = 0
@@ -88,14 +88,14 @@ def cmd_solve_linear_mv(args, scenario: Scenario, prices) -> dict:
 
 
 def _verify_linear(scenario: Scenario, prices, tol) -> dict:
-    tree = scenario.tree
-    if not uniqueness_of_values(tree, prices, tol):
+    op = build_gains_operator(scenario.tree, prices)
+    if not op.unique_values(tol):
         return {
             "verdict": "NotEquilibrium",
             "reason": "uniqueness of value processes fails",
         }
     strategies = [
-        linear_mv.optimal_mv_strategy(scenario, prices, k, tol)[1]
+        linear_mv.optimal_mv_strategy(scenario, op, k, tol)[1]
         for k in range(len(scenario.agents))
     ]
     clearing = quadratic.clearing_residual(scenario, prices, strategies)
@@ -136,12 +136,12 @@ def cmd_frontier(args, scenario: Scenario, prices) -> dict:
             if rep.verdict == "NonexistenceProven":
                 raise NonexistenceVerdict(_quadratic_report(rep))
             prices = rep.prices
+    op = build_gains_operator(scenario.tree, prices)
     out = {"agents": []}
-    _, ell = pure_investment(scenario.tree, prices, args.tol)
     for k in range(len(scenario.agents)):
-        front = linear_mv.agent_frontier(scenario, prices, k, args.tol)
+        front = linear_mv.agent_frontier(scenario, op, k, args.tol)
         if isinstance(scenario.agents[k].preference, LinearMV):
-            y_opt = scenario.agents[k].preference.lam / ell
+            y_opt = scenario.agents[k].preference.lam / front.ell
         else:
             y_opt = 1.0
         grid = [y_opt * i / 5.0 for i in range(11)]

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvh import (
-    pure_investment,
-    solve_exmvh,
-    uniqueness_of_values,
-)
+from .mvh import _as_operator, build_gains_operator
 from .quadratic import (
     _constant_strategy,
     _full_eta,
@@ -130,18 +126,17 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     report.prices = prices
     report.trivial_regime = _is_trivial_regime(s, gamma_bar_0, tol)
 
-    lams = _lambdas(s)
-    _, ell = pure_investment(tree, prices, tol)
-    report.ell = ell
-    for k, lam in enumerate(lams):
-        y_k, theta = optimal_mv_strategy(s, prices, k, tol)
-        ex = solve_exmvh(tree, prices, total_endowment(s, k), tol)
-        report.c_k.append(float(ex.c))
-        report.eps2_k.append(float(ex.sq_error))
+    op = build_gains_operator(tree, prices)
+    report.ell = op.ell
+    for k in range(len(s.agents)):
+        y_k, theta = optimal_mv_strategy(s, op, k, tol)
+        front = agent_frontier(s, op, k, tol)
+        report.c_k.append(front.c_k)
+        report.eps2_k.append(front.eps2_k)
         report.y_k.append(y_k)
         report.strategies.append(theta)
 
-    fp = verify_fixed_point(s, prices, gamma_bar, tol)
+    fp = verify_fixed_point(s, op, gamma_bar, tol)
     report.fp_residual = fp["fp_residual"]
     report.identity_residual = fp["identity_residual"]
     report.clearing_residual = clearing_residual(s, prices, report.strategies)
@@ -153,12 +148,11 @@ def agent_frontier(
 ) -> FrontierData:
     """Closed-form efficient frontier of agent ``k`` under the given
     prices; requires uniqueness of value processes."""
-    tree = s.tree
-    if not uniqueness_of_values(tree, prices, tol):
+    op = _as_operator(s.tree, prices)
+    if not op.unique_values(tol):
         raise ValueError("frontier requires uniqueness of value processes")
-    _, ell = pure_investment(tree, prices, tol)
-    ex = solve_exmvh(tree, prices, total_endowment(s, k), tol)
-    return FrontierData(ell=ell, c_k=float(ex.c), eps2_k=float(ex.sq_error))
+    ex = op.hedge_ex(total_endowment(s, k), tol)
+    return FrontierData(ell=op.ell, c_k=ex.c, eps2_k=ex.sq_error)
 
 
 def optimal_mv_strategy(
@@ -167,13 +161,12 @@ def optimal_mv_strategy(
     """Optimal strategy lam_k/ell units of the pure-investment hedge on
     top of holding the endowment and hedging the income."""
     tree = s.tree
-    if not uniqueness_of_values(tree, prices, tol):
+    op = _as_operator(tree, prices)
+    if not op.unique_values(tol):
         raise ValueError("optimal strategy requires uniqueness of value processes")
-    lam = s.agents[k].preference.lam
-    theta1, ell = pure_investment(tree, prices, tol)
-    ex = solve_exmvh(tree, prices, total_endowment(s, k), tol)
-    y_k = lam / ell
-    theta = y_k * theta1 + _constant_strategy(tree, _full_eta(s, k)) - ex.theta
+    ex = op.hedge_ex(total_endowment(s, k), tol)
+    y_k = s.agents[k].preference.lam / op.ell
+    theta = y_k * op.theta1 + _constant_strategy(tree, _full_eta(s, k)) - ex.theta
     return y_k, theta
 
 
@@ -185,15 +178,14 @@ def mv_efficiency_check(
     hedge at the gains-path level, and its mean/stdev must sit on the
     frontier."""
     tree = s.tree
-    if not uniqueness_of_values(tree, prices, tol):
+    op = _as_operator(tree, prices)
+    if not op.unique_values(tol):
         raise ValueError("efficiency check requires uniqueness of value processes")
-    prices = np.asarray(prices, dtype=float).reshape(tree.n_nodes, s.d)
-    theta1, ell = pure_investment(tree, prices, tol)
-    ex = solve_exmvh(tree, prices, total_endowment(s, k), tol)
+    ex = op.hedge_ex(total_endowment(s, k), tol)
 
     centred = theta - _constant_strategy(tree, _full_eta(s, k)) + ex.theta
-    g_centred = stoch_integral(tree, centred, prices)
-    g_one = stoch_integral(tree, theta1, prices)
+    g_centred = stoch_integral(tree, centred, op.prices)
+    g_one = stoch_integral(tree, op.theta1, op.prices)
     denom = float(tree.leaf_probs @ g_one[tree.leaves] ** 2)
     if denom <= tol:
         y = 0.0
@@ -205,14 +197,14 @@ def mv_efficiency_check(
     if np.max(np.abs(g_centred - y * g_one)) > tol:
         return False
 
-    front = FrontierData(ell=ell, c_k=float(ex.c), eps2_k=float(ex.sq_error))
+    front = FrontierData(ell=op.ell, c_k=ex.c, eps2_k=ex.sq_error)
     net = theta - _constant_strategy(tree, _full_eta(s, k))
-    v = stoch_integral(tree, net, prices)[tree.leaves] + total_endowment(s, k)
+    v = stoch_integral(tree, net, op.prices)[tree.leaves] + total_endowment(s, k)
     mean_v = float(tree.leaf_probs @ v)
     var_v = float(tree.leaf_probs @ (v - mean_v) ** 2)
     return (
         abs(mean_v - front.mean(y)) <= tol
-        and abs(var_v - (front.eps2_k + ell * (1.0 - ell) * y**2)) <= tol
+        and abs(var_v - (front.eps2_k + op.ell * (1.0 - op.ell) * y**2)) <= tol
     )
 
 
@@ -221,15 +213,14 @@ def verify_fixed_point(
 ) -> dict:
     """Residuals of the fixed-point equation and of the structural
     identity linking the pure-investment error, the aggregate hedging
-    constants and the mean aggregate endowment."""
+    constants and the mean aggregate endowment; needs unique value processes."""
     tree = s.tree
+    op = _as_operator(tree, prices)
+    if not op.unique_values(tol):
+        raise ValueError("fixed-point check requires uniqueness of value processes")
     lams = _lambdas(s)
-    _, ell = pure_investment(tree, prices, tol)
-    cs = [
-        float(solve_exmvh(tree, prices, total_endowment(s, k), tol).c)
-        for k in range(len(s.agents))
-    ]
-    fp = abs(gamma_bar - sum(c + lam / ell for c, lam in zip(cs, lams)))
+    cs = [op.hedge_ex(total_endowment(s, k), tol).c for k in range(len(s.agents))]
+    fp = abs(gamma_bar - sum(c + lam / op.ell for c, lam in zip(cs, lams)))
     mean_xi = float(tree.leaf_probs @ aggregate_endowment(s))
-    ident = abs((gamma_bar - mean_xi) - (gamma_bar - sum(cs)) * ell)
+    ident = abs((gamma_bar - mean_xi) - (gamma_bar - sum(cs)) * op.ell)
     return {"fp_residual": float(fp), "identity_residual": float(ident)}

@@ -3,13 +3,16 @@
 Strategies are identified by their gains paths ("S-equivalence"); the
 solvers return the minimal-norm coordinate representative.  The terminal
 gains map is materialised as a matrix over strategy coordinates, one
-d-vector per non-terminal node, and all projections are carried out in
-the probability-weighted inner product.
+d-vector per non-terminal node, that :class:`GainsOperator` factors once in
+the probability-weighted inner product: every hedge, uniqueness test and
+closed-form extended-hedge constant ``E[h(1 - g)] / ell`` comes from it.
+Functions taking ``prices`` here, in ``quadratic`` and in ``linear_mv``
+also accept the operator of those prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,13 +38,16 @@ __all__ = [
 RCOND = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass
 class GainsOperator:
-    """Linear map from strategy coordinates to gains.
+    """Linear map from strategy coordinates to gains, factored once.
 
     ``terminal[r, c]`` is the terminal gain at leaf row ``r`` of one unit
     in coordinate ``c``; ``paths[n, c]`` the gains-path value at node ``n``.
-    Coordinate ``c`` corresponds to ``cols[c] = (node, asset)``.
+    Coordinate ``c`` corresponds to ``cols[c] = (node, asset)``.  One SVD
+    of the weighted ``terminal`` (cut at ``RCOND``) gives the pure-investment
+    hedge ``theta1``, its error ``ell`` and ``kernel_gap``, the largest
+    gains-path entry of an orthonormal kernel basis of ``terminal``.
     """
 
     tree: FiltrationTree
@@ -50,20 +56,53 @@ class GainsOperator:
     terminal: np.ndarray
     paths: np.ndarray
 
+    def __post_init__(self):
+        self.col_node, self.col_asset = np.array(self.cols, dtype=int).reshape(-1, 2).T
+        w = np.sqrt(self.tree.leaf_probs)
+        u, sv, vt = np.linalg.svd(w[:, None] * self.terminal, full_matrices=True)
+        rank = int(np.sum(sv > RCOND * (sv[0] if len(sv) else 0.0)))
+        # pseudo-inverse: payoff -> minimal-norm coordinates of its hedge
+        self._pinv = (vt[:rank].T / sv[:rank]) @ (w[:, None] * u[:, :rank]).T
+        self.kernel_gap = float(np.max(np.abs(self.paths @ vt[rank:].T), initial=0.0))
+        x1 = self._pinv @ np.ones(self.tree.n_leaves)
+        self._g1 = self.terminal @ x1
+        self.ell = float(self.tree.leaf_probs @ (1.0 - self._g1) ** 2)
+        self.theta1 = self.theta_from_coords(x1)
+        self.theta1.flags.writeable = False
+
     def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
-        nodes, assets = np.array(self.cols, dtype=int).reshape(-1, 2).T
         theta = np.zeros((self.tree.n_nodes, self.prices.shape[1]))
-        theta[nodes, assets] = x
+        theta[self.col_node, self.col_asset] = x
         return theta
 
+    def unique_gains(self, tol: float) -> bool:
+        """See :func:`uniqueness_of_gains`."""
+        return self.kernel_gap <= tol
 
-def _as_matrix(prices) -> np.ndarray:
-    prices = np.asarray(prices, dtype=float)
-    return prices[:, None] if prices.ndim == 1 else prices
+    def unique_values(self, tol: float) -> bool:
+        """See :func:`uniqueness_of_values`."""
+        return self.unique_gains(tol) and self.ell > tol
+
+    def hedge(self, h, tol: float) -> MvhSolution:
+        """See :func:`solve_mvh`."""
+        x = self._pinv @ h
+        err = float(self.tree.leaf_probs @ (self.terminal @ x - h) ** 2)
+        return MvhSolution(self.theta_from_coords(x), err, unique=self.unique_gains(tol))
+
+    def hedge_ex(self, h, tol: float) -> MvhSolution:
+        """See :func:`solve_exmvh`; the constant is E[h(1 - g)] / ell with g
+        the terminal pure-investment gain."""
+        if self.ell <= tol:
+            raise ValueError("value-process uniqueness fails")
+        h = np.asarray(h, dtype=float)
+        c = float(self.tree.leaf_probs @ (h * (1.0 - self._g1))) / self.ell
+        return replace(self.hedge(h - c, tol), c=c)
 
 
 def build_gains_operator(tree: FiltrationTree, prices) -> GainsOperator:
-    prices = _as_matrix(prices)
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim == 1:
+        prices = prices[:, None]
     d = prices.shape[1]
     nonterminal = tree.nonterminal()
     cols = [(int(n), j) for n in nonterminal for j in range(d)]
@@ -95,50 +134,35 @@ class MvhSolution:
     unique: bool = False
 
 
-def _weighted_lstsq(tree, a, b):
-    w = np.sqrt(tree.leaf_probs)
-    x, *_ = np.linalg.lstsq(w[:, None] * a, w * b, rcond=RCOND)
-    resid = a @ x - b
-    return x, float(tree.leaf_probs @ resid**2)
+def _as_operator(tree: FiltrationTree, prices) -> GainsOperator:
+    """``prices`` if it is an operator already, else its operator."""
+    if isinstance(prices, GainsOperator):
+        return prices
+    return build_gains_operator(tree, prices)
 
 
 def solve_mvh(
     tree: FiltrationTree, prices, h, tol: float = DEFAULT_TOL
 ) -> MvhSolution:
     """Minimise E[(theta . S_T - h)^2]; minimal-norm coordinates."""
-    op = build_gains_operator(tree, prices)
-    h = np.asarray(h, dtype=float)
-    x, err = _weighted_lstsq(tree, op.terminal, h)
-    return MvhSolution(
-        theta=op.theta_from_coords(x),
-        sq_error=err,
-        unique=uniqueness_of_gains(tree, prices, tol),
-    )
+    return _as_operator(tree, prices).hedge(h, tol)
 
 
 def solve_exmvh(
     tree: FiltrationTree, prices, h, tol: float = DEFAULT_TOL
 ) -> MvhSolution:
     """Minimise E[(c + theta . S_T - h)^2] over the constant and the
-    strategy jointly."""
-    op = build_gains_operator(tree, prices)
-    h = np.asarray(h, dtype=float)
-    a = np.hstack([np.ones((tree.n_leaves, 1)), op.terminal])
-    x, err = _weighted_lstsq(tree, a, h)
-    return MvhSolution(
-        theta=op.theta_from_coords(x[1:]),
-        sq_error=err,
-        c=float(x[0]),
-        unique=uniqueness_of_values(tree, prices, tol),
-    )
+    strategy jointly; raises ``ValueError`` where the constant is not
+    unique (pure-investment error at most ``tol``)."""
+    return _as_operator(tree, prices).hedge_ex(h, tol)
 
 
 def pure_investment(
     tree: FiltrationTree, prices, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, float]:
     """Hedge of the constant payoff 1; returns (strategy, minimal error)."""
-    sol = solve_mvh(tree, prices, np.ones(tree.n_leaves), tol)
-    return sol.theta, sol.sq_error
+    op = _as_operator(tree, prices)
+    return op.theta1, op.ell
 
 
 def c_of_H_formula(
@@ -146,13 +170,7 @@ def c_of_H_formula(
 ) -> float:
     """Initial constant of the extended hedge via the closed form
     E[h(1 - g)] / E[(1 - g)^2] with g the terminal pure-investment gain."""
-    theta1, _ = pure_investment(tree, prices, tol)
-    g = stoch_integral(tree, theta1, _as_matrix(prices))[tree.leaves]
-    denom = float(tree.leaf_probs @ (1.0 - g) ** 2)
-    if denom <= tol:
-        raise ValueError("value-process uniqueness fails")
-    h = np.asarray(h, dtype=float)
-    return float(tree.leaf_probs @ (h * (1.0 - g))) / denom
+    return _as_operator(tree, prices).hedge_ex(h, tol).c
 
 
 def uniqueness_of_gains(
@@ -160,26 +178,14 @@ def uniqueness_of_gains(
 ) -> bool:
     """True iff strategies with equal terminal gains have equal gains
     paths, decided on a kernel basis of the terminal map."""
-    op = build_gains_operator(tree, prices)
-    w = np.sqrt(tree.leaf_probs)
-    a = w[:, None] * op.terminal
-    _, sv, vt = np.linalg.svd(a, full_matrices=True)
-    cutoff = RCOND * (sv[0] if len(sv) else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    for v in vt[rank:]:
-        if np.max(np.abs(op.paths @ v)) > tol:
-            return False
-    return True
+    return _as_operator(tree, prices).unique_gains(tol)
 
 
 def uniqueness_of_values(
     tree: FiltrationTree, prices, tol: float = DEFAULT_TOL
 ) -> bool:
     """Uniqueness of gains plus a strictly positive pure-investment error."""
-    if not uniqueness_of_gains(tree, prices, tol):
-        return False
-    _, ell = pure_investment(tree, prices, tol)
-    return ell > tol
+    return _as_operator(tree, prices).unique_values(tol)
 
 
 def zero_solves_mvh_iff(
@@ -188,15 +194,15 @@ def zero_solves_mvh_iff(
     """Check both sides of the zero-hedge characterisation: the zero
     strategy is optimal for ``h`` iff Z S^j is a martingale for all j,
     where Z is the martingale closed by ``h``."""
-    prices = _as_matrix(prices)
+    op = _as_operator(tree, prices)
     h = np.asarray(h, dtype=float)
-    sol = solve_mvh(tree, prices, h, tol)
+    sol = op.hedge(h, tol)
     err_at_zero = float(tree.leaf_probs @ h**2)
     zero_optimal = err_at_zero - sol.sq_error <= tol
     z = martingale_from_terminal(tree, h)
     zs_mart = all(
-        is_martingale(tree, z * prices[:, j], tol)[1]
-        for j in range(prices.shape[1])
+        is_martingale(tree, z * op.prices[:, j], tol)[1]
+        for j in range(op.prices.shape[1])
     )
     return {"zero_optimal": bool(zero_optimal), "zs_martingale": bool(zs_mart)}
 
@@ -223,13 +229,11 @@ def opportunity_process(
     submartingale with value 1 at the horizon); ``v_bar`` the mean value
     process of ``h_bar``.  Requires uniqueness of value processes.
     """
-    prices = _as_matrix(prices)
-    if not uniqueness_of_values(tree, prices, tol):
+    op = _as_operator(tree, prices)
+    if not op.unique_values(tol):
         raise ValueError("opportunity process needs uniqueness of value processes")
     h_bar = np.asarray(h_bar, dtype=float)
-    op = build_gains_operator(tree, prices)
 
-    col_nodes = np.array([m for m, _ in op.cols], dtype=int)
     L = np.ones(tree.n_nodes)
     v_bar = np.zeros(tree.n_nodes)
     v_bar[tree.leaves] = h_bar
@@ -237,7 +241,7 @@ def opportunity_process(
     for n in tree.nonterminal():
         n = int(n)
         sub = tree.descendants(n)
-        col_ids = np.flatnonzero(sub[col_nodes])
+        col_ids = np.flatnonzero(sub[op.col_node])
         rows = np.flatnonzero(sub[tree.leaves])
         a = op.terminal[np.ix_(rows, col_ids)]
         cond_p = tree.leaf_probs[rows] / tree.prob[n]
@@ -251,7 +255,7 @@ def opportunity_process(
         started[n] = op.theta_from_coords(full)
 
     theta0 = started[0]
-    m0 = L * (1.0 - stoch_integral(tree, theta0, prices))
+    m0 = L * (1.0 - stoch_integral(tree, theta0, op.prices))
     return OpportunityProcess(
         L=L, v_bar=v_bar, theta0=theta0, m0=m0, started=started
     )

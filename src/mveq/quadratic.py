@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvh import pure_investment, solve_exmvh, solve_mvh, uniqueness_of_gains
+from .mvh import _as_operator, build_gains_operator
 from .scenario import (
     DEFAULT_TOL,
     Quadratic,
@@ -261,23 +261,23 @@ def individual_optimal(
     whenever the pure-investment error is positive.
     """
     tree = s.tree
+    op = _as_operator(tree, prices)
     gamma_k = s.agents[k].preference.gamma
     xi_k = total_endowment(s, k)
     hk = gamma_k - xi_k
-    sol = solve_mvh(tree, prices, hk, tol)
+    sol = op.hedge(hk, tol)
     theta = sol.theta + _constant_strategy(tree, _full_eta(s, k))
 
     report = {"mvh_sq_error": sol.sq_error, "unique": sol.unique}
-    theta1, ell = pure_investment(tree, prices, tol)
-    if ell > tol and sol.unique:
-        ex = solve_exmvh(tree, prices, xi_k, tol)
+    if op.unique_values(tol):
+        ex = op.hedge_ex(xi_k, tol)
         alt = (
             _constant_strategy(tree, _full_eta(s, k))
             - ex.theta
-            + (gamma_k - ex.c) * theta1
+            + (gamma_k - ex.c) * op.theta1
         )
-        diff = stoch_integral(tree, theta, prices) - stoch_integral(
-            tree, alt, prices
+        diff = stoch_integral(tree, theta, op.prices) - stoch_integral(
+            tree, alt, op.prices
         )
         report["c_k"] = ex.c
         report["decomposition_gap"] = float(np.max(np.abs(diff)))
@@ -300,15 +300,16 @@ def representative_check(
     """Gains path of the summed individual optima against the
     representative agent's optimum."""
     tree = s.tree
+    op = _as_operator(tree, prices)
     agg = aggregate(s)
     total = np.zeros((tree.n_nodes, s.d))
     for k in range(len(s.agents)):
-        theta, _ = individual_optimal(s, prices, k, tol)
+        theta, _ = individual_optimal(s, op, k, tol)
         total += theta
-    rep = solve_mvh(tree, prices, agg.h_bar, tol).theta + _constant_strategy(
-        tree, agg.eta_bar
+    rep = op.hedge(agg.h_bar, tol).theta + _constant_strategy(tree, agg.eta_bar)
+    diff = stoch_integral(tree, total, op.prices) - stoch_integral(
+        tree, rep, op.prices
     )
-    diff = stoch_integral(tree, total, prices) - stoch_integral(tree, rep, prices)
     residual = float(np.max(np.abs(diff)))
     return residual, residual <= tol
 
@@ -342,10 +343,11 @@ def verify_equilibrium(
                 prices=prices,
             )
 
+    op = build_gains_operator(tree, prices)
     strategies = []
     gaps = []
     for k in range(len(s.agents)):
-        theta, rep = individual_optimal(s, prices, k, tol)
+        theta, rep = individual_optimal(s, op, k, tol)
         strategies.append(theta)
         gamma_k = s.agents[k].preference.gamma
         hk = gamma_k - total_endowment(s, k)
@@ -370,7 +372,7 @@ def verify_equilibrium(
         clearing_residual=clearing,
         martingale_residual=mart_res,
         optimality_gaps=gaps,
-        unique_gains=uniqueness_of_gains(tree, prices, tol),
+        unique_gains=op.unique_gains(tol),
     )
 
 

@@ -23,7 +23,6 @@ from mveq import (
     martingale_from_terminal,
     opportunity_process,
     representative_check,
-    solve_exmvh,
     solve_linear_mv,
     solve_mvh,
     solve_quadratic,
@@ -40,6 +39,7 @@ from mveq.mvh import build_gains_operator
 from mveq.quadratic import _constant_strategy, _full_eta
 
 from test_linear_mv import brute_force_min_variance
+from test_mvh import lstsq_exhedge
 
 
 def test_criterion_1_one_period_quadratic(scen_a):
@@ -212,7 +212,7 @@ def test_criterion_7_hedging_identities(cancel_tree_prices):
         g = lambda h: stoch_integral(tree, solve_mvh(tree, prices, h).theta, prices)
         assert np.max(np.abs(g(h1 + lam * h2) - (g(h1) + lam * g(h2)))) <= 1e-9
         assert abs(
-            c_of_H_formula(tree, prices, h1) - solve_exmvh(tree, prices, h1).c
+            c_of_H_formula(tree, prices, h1) - lstsq_exhedge(tree, prices, h1)[0]
         ) <= 1e-10
 
     # the zero-hedge characterisation holds in both directions

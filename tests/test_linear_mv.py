@@ -171,6 +171,13 @@ def test_verify_fixed_point_scen_b(scen_b):
     assert res["identity_residual"] <= 1e-12
 
 
+def test_verify_fixed_point_requires_value_uniqueness(scen_b):
+    # a deterministic price step makes the constant 1 attainable: ell = 0
+    prices = np.array([[0.5], [1.0], [1.0]])
+    with pytest.raises(ValueError, match="fixed-point check requires uniqueness"):
+        verify_fixed_point(scen_b, prices, 2.5)
+
+
 def test_quadratic_optimum_is_mv_efficient(scen_b):
     # a quadratic agent with bliss point gamma >= c_k trades on the same
     # frontier with y = gamma - c_k

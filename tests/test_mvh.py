@@ -15,6 +15,8 @@ from mveq import (
     zero_solves_mvh_iff,
 )
 from mveq.generate import generate_random_scenario, random_tree
+from mveq.mvh import RCOND
+from mveq.scenario import DEFAULT_TOL
 from mveq.quadratic import construct_regular, aggregate
 
 
@@ -26,6 +28,57 @@ def random_market(seed, horizon=2):
 
 def leaf_gains(tree, theta, prices):
     return stoch_integral(tree, theta, prices)[tree.leaves]
+
+
+# Dense oracles: each hedge as one weighted least-squares solve on the
+# terminal gains matrix, the extended one with a column for the constant.
+
+
+def lstsq_hedge(tree, prices, h):
+    """Gains path of the minimal-norm least-squares hedge of ``h``."""
+    op = build_gains_operator(tree, prices)
+    w = np.sqrt(tree.leaf_probs)
+    x, *_ = np.linalg.lstsq(w[:, None] * op.terminal, w * h, rcond=RCOND)
+    return op.paths @ x
+
+
+def lstsq_exhedge(tree, prices, h):
+    """Constant and gains path of the joint least-squares fit of ``h`` by
+    a constant plus a terminal gain."""
+    op = build_gains_operator(tree, prices)
+    w = np.sqrt(tree.leaf_probs)
+    a = np.hstack([np.ones((tree.n_leaves, 1)), op.terminal])
+    x, *_ = np.linalg.lstsq(w[:, None] * a, w * h, rcond=RCOND)
+    return float(x[0]), op.paths @ x[1:]
+
+
+@pytest.mark.parametrize(
+    "market", ["random-3", "random-17", "random-23", "random-31", "collinear", "cancel"]
+)
+def test_hedges_match_dense_oracles(market, coin_tree, cancel_tree_prices):
+    if market == "collinear":
+        tree, prices = coin_tree, np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
+    elif market == "cancel":
+        tree, prices = cancel_tree_prices
+    else:
+        tree, prices, _ = random_market(int(market.split("-")[1]))
+    _, ell = pure_investment(tree, prices)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        h = rng.uniform(-2, 2, tree.n_leaves)
+        sol = solve_mvh(tree, prices, h)
+        gains = stoch_integral(tree, sol.theta, prices)
+        oracle = lstsq_hedge(tree, prices, h)
+        np.testing.assert_allclose(gains, oracle, rtol=0, atol=1e-10)
+        c, paths = lstsq_exhedge(tree, prices, h)
+        if ell <= DEFAULT_TOL:  # the constant is not unique; the oracle picks one
+            with pytest.raises(ValueError, match="uniqueness"):
+                solve_exmvh(tree, prices, h)
+            continue
+        ex = solve_exmvh(tree, prices, h)
+        assert abs(ex.c - c) <= 1e-10
+        gains = stoch_integral(tree, ex.theta, prices)
+        np.testing.assert_allclose(gains, paths, rtol=0, atol=1e-10)
 
 
 def test_gains_operator_one_period(coin_tree):
@@ -124,7 +177,7 @@ def test_c_of_h_formula_matches_exmvh():
     for _ in range(5):
         h = rng.uniform(-2, 2, tree.n_leaves)
         assert c_of_H_formula(tree, prices, h) == pytest.approx(
-            solve_exmvh(tree, prices, h).c, abs=1e-10
+            lstsq_exhedge(tree, prices, h)[0], abs=1e-10
         )
 
 
@@ -142,6 +195,8 @@ def test_c_of_h_degenerate_denominator(coin_tree):
     prices = np.array([0.5, 1.0, 1.0])
     with pytest.raises(ValueError, match="uniqueness"):
         c_of_H_formula(coin_tree, prices, np.ones(2))
+    with pytest.raises(ValueError, match="uniqueness"):
+        solve_exmvh(coin_tree, prices, np.ones(2))
 
 
 def test_pure_investment_oracles(scen_a, scen_b):
@@ -224,3 +279,41 @@ def test_opportunity_process_martingale_prices():
 def test_opportunity_process_requires_uniqueness(coin_tree):
     with pytest.raises(ValueError):
         opportunity_process(coin_tree, np.array([0.5, 1.0, 1.0]), np.ones(2))
+
+
+def count_factorizations(monkeypatch):
+    counts = {"svd": 0, "lstsq": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def test_one_factorization_per_price_system(scen_a, scen_b, tmp_path, capsys,
+                                            monkeypatch):
+    from mveq.linear_mv import solve_linear_mv
+    from mveq.quadratic import solve_quadratic
+    from test_io_cli import run_cli, write_scenario
+
+    path = write_scenario(tmp_path / "b.json", scen_b, solve_linear_mv(scen_b).prices)
+    counts = count_factorizations(monkeypatch)
+    runs = {
+        "solve_quadratic": lambda: solve_quadratic(scen_a),
+        "solve_linear_mv": lambda: solve_linear_mv(scen_b),
+        "cli frontier": lambda: run_cli(["frontier", "--input", path]),
+    }
+    for name, run in runs.items():
+        counts.update(svd=0, lstsq=0)
+        run()
+        assert counts == {"svd": 1, "lstsq": 0}, name
+    capsys.readouterr()
+    # the opportunity process still solves one least-squares problem per subtree
+    tree, prices, s = random_market(41)
+    counts.update(svd=0, lstsq=0)
+    opportunity_process(tree, prices, aggregate(s).h_bar)
+    assert counts == {"svd": 1, "lstsq": len(tree.nonterminal())}
