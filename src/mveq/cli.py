@@ -87,6 +87,10 @@ def cmd_solve_linear_mv(args, scenario: Scenario, prices) -> dict:
     return out
 
 
+def _all_linear(scenario: Scenario) -> bool:
+    return all(isinstance(a.preference, LinearMV) for a in scenario.agents)
+
+
 def _verify_linear(scenario: Scenario, prices, tol) -> dict:
     op = build_gains_operator(scenario.tree, prices)
     if not op.unique_values(tol):
@@ -115,7 +119,7 @@ def cmd_verify(args, scenario: Scenario, prices) -> dict:
     term = prices[scenario.tree.leaves, scenario.d1 :]
     if scenario.d2 > 0 and np.max(np.abs(term - scenario.dividends)) > args.tol:
         raise ValidationFailure("terminal prices must equal the dividends")
-    if all(isinstance(a.preference, LinearMV) for a in scenario.agents):
+    if _all_linear(scenario):
         return _verify_linear(scenario, prices, args.tol)
     report = quadratic.verify_equilibrium(scenario, prices, args.tol)
     return _quadratic_report(report)
@@ -123,19 +127,9 @@ def cmd_verify(args, scenario: Scenario, prices) -> dict:
 
 def cmd_frontier(args, scenario: Scenario, prices) -> dict:
     if prices is None:
-        if all(isinstance(a.preference, LinearMV) for a in scenario.agents):
-            rep = linear_mv.solve_linear_mv(scenario, args.tol)
-            if not rep.exists:
-                raise NonexistenceVerdict(
-                    {"gamma_bar": rep.gamma_bar, "gamma_bar_0": rep.gamma_bar_0,
-                     "exists": False}
-                )
-            prices = rep.prices
-        else:
-            rep = quadratic.solve_quadratic(scenario, args.tol)
-            if rep.verdict == "NonexistenceProven":
-                raise NonexistenceVerdict(_quadratic_report(rep))
-            prices = rep.prices
+        # the solve command's report, nonexistence verdict included
+        solve = cmd_solve_linear_mv if _all_linear(scenario) else cmd_solve_quadratic
+        prices = np.array(solve(args, scenario, None)["prices"])
     op = build_gains_operator(scenario.tree, prices)
     out = {"agents": []}
     for k in range(len(scenario.agents)):

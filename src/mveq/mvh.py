@@ -7,17 +7,20 @@ d-vector per non-terminal node, that :class:`GainsOperator` factors once in
 the probability-weighted inner product: every hedge, uniqueness test and
 closed-form extended-hedge constant ``E[h(1 - g)] / ell`` comes from it.
 Functions taking ``prices`` here, in ``quadratic`` and in ``linear_mv``
-also accept the operator of those prices.
+also accept the operator of those prices.  The opportunity process ``L``
+and the mean value process come from one backward recursion over the tree
+instead (Cerny 2004): each node's local hedge ratio minimises the
+``L``-weighted one-step error of the pure investment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .scenario import DEFAULT_TOL
-from .stoch import is_martingale, martingale_from_terminal, stoch_integral
+from .stoch import is_martingale, martingale_from_terminal
 from .tree import FiltrationTree
 
 __all__ = [
@@ -210,52 +213,48 @@ def zero_solves_mvh_iff(
 @dataclass(frozen=True)
 class OpportunityProcess:
     """Dynamic value of the pure investment problem, per node, with the
-    mean value process of a target payoff and the per-node restarted
-    optimal strategies."""
+    mean value process of a target payoff and the pure-investment hedge
+    started at the root."""
 
     L: np.ndarray
     v_bar: np.ndarray
     theta0: np.ndarray
     m0: np.ndarray
-    started: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def opportunity_process(
     tree: FiltrationTree, prices, h_bar, tol: float = DEFAULT_TOL
 ) -> OpportunityProcess:
-    """Solve the conditional pure-investment problem on every subtree.
+    """Solve the conditional pure-investment problem on every subtree by
+    one backward recursion.
 
     ``L`` is the per-node minimal conditional squared error (a (0,1]-valued
     submartingale with value 1 at the horizon); ``v_bar`` the mean value
-    process of ``h_bar``.  Requires uniqueness of value processes.
+    process of ``h_bar``; ``theta0`` the optimal pure-investment strategy
+    from the root and ``m0 = L (1 - theta0 . S)``.  Requires uniqueness of
+    value processes.
     """
     op = _as_operator(tree, prices)
     if not op.unique_values(tol):
         raise ValueError("opportunity process needs uniqueness of value processes")
-    h_bar = np.asarray(h_bar, dtype=float)
-
+    ds = tree.increments(op.prices)
     L = np.ones(tree.n_nodes)
-    v_bar = np.zeros(tree.n_nodes)
-    v_bar[tree.leaves] = h_bar
-    started: dict[int, np.ndarray] = {}
-    for n in tree.nonterminal():
-        n = int(n)
-        sub = tree.descendants(n)
-        col_ids = np.flatnonzero(sub[op.col_node])
-        rows = np.flatnonzero(sub[tree.leaves])
-        a = op.terminal[np.ix_(rows, col_ids)]
-        cond_p = tree.leaf_probs[rows] / tree.prob[n]
-        w = np.sqrt(cond_p)
-        x, *_ = np.linalg.lstsq(w[:, None] * a, w, rcond=RCOND)
-        gains = a @ x
-        L[n] = float(cond_p @ (1.0 - gains) ** 2)
-        v_bar[n] = float(cond_p @ (h_bar[rows] * (1.0 - gains))) / L[n]
-        full = np.zeros(len(op.cols))
-        full[col_ids] = x
-        started[n] = op.theta_from_coords(full)
+    W = np.zeros(tree.n_nodes)
+    W[tree.leaves] = h_bar
+    beta = np.zeros_like(ds)
+    step = np.ones(tree.n_nodes)
+    # from the horizon back: the local hedge ratio beta = pinv(G) a, with
+    # a = E_n[L dS] and G = E_n[L dS dS^T], minimises E_n[L (1 - beta . dS)^2];
+    # L and W = L v_bar are the conditional means of L step and W step
+    for t in range(tree.horizon - 1, -1, -1):
+        lvl, kids = tree.nodes_at[t], tree.nodes_at[t + 1]
+        lds = L[:, None] * ds
+        a = tree.child_mean(lds)[lvl]
+        g = tree.child_mean(lds[:, :, None] * ds[:, None, :])[lvl]
+        beta[lvl] = (np.linalg.pinv(g, rcond=RCOND) @ a[:, :, None])[:, :, 0]
+        step[kids] = 1.0 - np.einsum("ij,ij->i", beta[tree.parent[kids]], ds[kids])
+        L[lvl], W[lvl] = tree.child_mean(np.column_stack([L * step, W * step]))[lvl].T
 
-    theta0 = started[0]
-    m0 = L * (1.0 - stoch_integral(tree, theta0, op.prices))
-    return OpportunityProcess(
-        L=L, v_bar=v_bar, theta0=theta0, m0=m0, started=started
-    )
+    # shortfall 1 - theta0 . S of the root's pure-investment hedge
+    y = tree.accumulate(step, 0, np.multiply)
+    return OpportunityProcess(L=L, v_bar=W / L, theta0=beta * y[:, None], m0=L * y)

@@ -381,9 +381,8 @@ def solve_quadratic(s: Scenario, tol: float = DEFAULT_TOL) -> EquilibriumReport:
     verify it; prove nonexistence when the necessary conditions fail."""
     agg = aggregate(s)
     diagnostics: dict = {}
-    if np.min(np.abs(agg.z_bar)) > tol:
-        prices = construct_regular(s, tol)
-    else:
+    degenerate = np.min(np.abs(agg.z_bar)) <= tol
+    if degenerate:
         cond = check_necessary_conditions(s, tol)
         diagnostics["necessary_conditions"] = cond
         if not cond["passed"]:
@@ -400,7 +399,9 @@ def solve_quadratic(s: Scenario, tol: float = DEFAULT_TOL) -> EquilibriumReport:
         diagnostics["restart_martingale_failures"] = restart_martingale_failures(
             s.tree, agg.z_bar, tol
         )
-        prices = construct_degenerate(s, tol)
+    prices = construct_prices(
+        s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol, degenerate
+    )
     report = verify_equilibrium(s, prices, tol)
     report.diagnostics.update(diagnostics)
     return report

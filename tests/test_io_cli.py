@@ -113,8 +113,12 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
         agents=[AgentSpec(eta2=[1.0], xi_n=[0.0, 0.0], preference=LinearMV(0.1))],
     )
     path = write_scenario(tmp_path / "small.json", small)
-    assert run_cli(["solve-linear-mv", "--input", path]) == 3
-    out = json.loads(capsys.readouterr().out)
+    texts = []
+    for command in ("solve-linear-mv", "frontier"):
+        assert run_cli([command, "--input", path]) == 3
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    out = json.loads(texts[0])
     assert out["gamma_bar"] == pytest.approx(1.6)
     assert not out["exists"]
 

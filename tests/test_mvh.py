@@ -312,8 +312,8 @@ def test_one_factorization_per_price_system(scen_a, scen_b, tmp_path, capsys,
         run()
         assert counts == {"svd": 1, "lstsq": 0}, name
     capsys.readouterr()
-    # the opportunity process still solves one least-squares problem per subtree
+    # the opportunity process is one backward sweep: the operator's SVD only
     tree, prices, s = random_market(41)
     counts.update(svd=0, lstsq=0)
     opportunity_process(tree, prices, aggregate(s).h_bar)
-    assert counts == {"svd": 1, "lstsq": len(tree.nonterminal())}
+    assert counts == {"svd": 1, "lstsq": 0}

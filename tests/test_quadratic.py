@@ -175,6 +175,23 @@ def test_solve_quadratic_dispatch(scen_a, scen_c, scen_c_prime, scen_d):
     assert not report.diagnostics["necessary_conditions"]["passed"]
 
 
+def test_solve_quadratic_checks_conditions_once(scen_c, monkeypatch):
+    import mveq.quadratic
+
+    calls = []
+    real = mveq.quadratic.check_necessary_conditions
+
+    def counting_check(s, *args, **kwargs):
+        calls.append(s)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(mveq.quadratic, "check_necessary_conditions", counting_check)
+    report = solve_quadratic(scen_c)
+    assert report.verdict == "Equilibrium"
+    assert calls == [scen_c]
+    np.testing.assert_array_equal(report.prices, construct_degenerate(scen_c))
+
+
 def test_falsification_sweep_when_nonexistent(scen_c_prime):
     # no martingale-part/terminal-respecting candidate verifies
     rng = np.random.default_rng(12)

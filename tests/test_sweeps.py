@@ -232,6 +232,8 @@ def loop_productive_degenerate(tree, dividends, z_bar, tol):
 
 
 def loop_opportunity(tree, prices, h_bar):
+    """Per-subtree least-squares pure-investment hedges; returns ``L``,
+    ``v_bar`` and the gains path of the hedge started at the root."""
     cols, paths = loop_gains_paths(tree, prices)
     terminal = paths[tree.leaves]
     L = np.ones(tree.n_nodes)
@@ -248,7 +250,9 @@ def loop_opportunity(tree, prices, h_bar):
         gains = a @ x
         L[n] = cond_p @ (1.0 - gains) ** 2
         v_bar[n] = cond_p @ (h_bar[rows] * (1.0 - gains)) / L[n]
-    return L, v_bar
+        if n == 0:
+            root_gains = paths[:, col_ids] @ x
+    return L, v_bar, root_gains
 
 
 # ---------------------------------------------------------------- stoch
@@ -322,10 +326,15 @@ def test_opportunity_process_matches_loop(tree):
     rng = np.random.default_rng(tree.n_nodes + 4)
     prices = martingale(tree, rng) + 0.3 * tree.time  # a drift makes ell < 1
     h = rng.uniform(-2, 2, tree.n_leaves)
-    opp = opportunity_process(tree, prices, h)
-    L, v_bar = loop_opportunity(tree, prices[:, None], h)
-    assert_close(opp.L, L)
-    assert_close(opp.v_bar, v_bar)
+    # the second market's columns are collinear, so every local Gram
+    # matrix has rank one
+    for market in (prices[:, None], np.column_stack([prices, 2 * prices - 1])):
+        opp = opportunity_process(tree, market, h)
+        L, v_bar, gains = loop_opportunity(tree, market, h)
+        assert_close(opp.L, L)
+        assert_close(opp.v_bar, v_bar)
+        assert_close(opp.m0, L * (1.0 - gains))
+        assert_close(stoch_integral(tree, opp.theta0, market), gains)
     for n in tree.nonterminal():
         assert list(tree.subtree(n)) == sorted(np.flatnonzero(tree.descendants(n)))
 
