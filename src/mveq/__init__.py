@@ -32,7 +32,6 @@ from .mvh import (
     GainsOperator,
     MvhSolution,
     OpportunityProcess,
-    build_gains_operator,
     c_of_H_formula,
     opportunity_process,
     pure_investment,
@@ -95,7 +94,6 @@ __all__ = [
     "GainsOperator",
     "MvhSolution",
     "OpportunityProcess",
-    "build_gains_operator",
     "c_of_H_formula",
     "opportunity_process",
     "pure_investment",

@@ -15,7 +15,7 @@ import numpy as np
 from . import linear_mv, quadratic
 from .generate import generate_random_scenario
 from .io import ParseError, load_scenario, report_to_csv, report_to_json
-from .mvh import build_gains_operator
+from .mvh import GainsOperator
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, validate_scenario
 
 EXIT_OK = 0
@@ -92,15 +92,15 @@ def _all_linear(scenario: Scenario) -> bool:
 
 
 def _verify_linear(scenario: Scenario, prices, tol) -> dict:
-    op = build_gains_operator(scenario.tree, prices)
+    op = GainsOperator(scenario.tree, prices)
     if not op.unique_values(tol):
         return {
             "verdict": "NotEquilibrium",
             "reason": "uniqueness of value processes fails",
         }
     strategies = [
-        linear_mv.optimal_mv_strategy(scenario, op, k, tol)[1]
-        for k in range(len(scenario.agents))
+        theta for _, theta, _ in
+        linear_mv._mv_strategies(scenario, op, range(len(scenario.agents)), tol)
     ]
     clearing = quadratic.clearing_residual(scenario, prices, strategies)
     verdict = "Equilibrium" if clearing <= tol else "NotEquilibrium"
@@ -130,10 +130,10 @@ def cmd_frontier(args, scenario: Scenario, prices) -> dict:
         # the solve command's report, nonexistence verdict included
         solve = cmd_solve_linear_mv if _all_linear(scenario) else cmd_solve_quadratic
         prices = np.array(solve(args, scenario, None)["prices"])
-    op = build_gains_operator(scenario.tree, prices)
+    op = GainsOperator(scenario.tree, prices)
     out = {"agents": []}
-    for k in range(len(scenario.agents)):
-        front = linear_mv.agent_frontier(scenario, op, k, args.tol)
+    fronts = linear_mv._frontiers(scenario, op, range(len(scenario.agents)), args.tol)
+    for k, front in enumerate(fronts):
         if isinstance(scenario.agents[k].preference, LinearMV):
             y_opt = scenario.agents[k].preference.lam / front.ell
         else:

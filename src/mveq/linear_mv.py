@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvh import _as_operator, build_gains_operator
+from .mvh import GainsOperator, _as_operator
 from .quadratic import (
     _constant_strategy,
     _full_eta,
@@ -126,13 +126,11 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     report.prices = prices
     report.trivial_regime = _is_trivial_regime(s, gamma_bar_0, tol)
 
-    op = build_gains_operator(tree, prices)
+    op = GainsOperator(tree, prices)
     report.ell = op.ell
-    for k in range(len(s.agents)):
-        y_k, theta = optimal_mv_strategy(s, op, k, tol)
-        front = agent_frontier(s, op, k, tol)
-        report.c_k.append(front.c_k)
-        report.eps2_k.append(front.eps2_k)
+    for y_k, theta, ex in _mv_strategies(s, op, range(len(s.agents)), tol):
+        report.c_k.append(ex.c)
+        report.eps2_k.append(ex.sq_error)
         report.y_k.append(y_k)
         report.strategies.append(theta)
 
@@ -143,16 +141,28 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     return report
 
 
+def _endowments(s: Scenario, ks) -> np.ndarray:
+    """Terminal endowments of the agents ``ks``, one column each."""
+    return np.reshape([total_endowment(s, k) for k in ks], (-1, s.tree.n_leaves)).T
+
+
 def agent_frontier(
     s: Scenario, prices, k: int, tol: float = DEFAULT_TOL
 ) -> FrontierData:
     """Closed-form efficient frontier of agent ``k`` under the given
     prices; requires uniqueness of value processes."""
-    op = _as_operator(s.tree, prices)
+    return _frontiers(s, _as_operator(s.tree, prices), [k], tol)[0]
+
+
+def _frontiers(s: Scenario, op: GainsOperator, ks, tol: float) -> list[FrontierData]:
+    """:func:`agent_frontier` of the agents ``ks`` from one backward sweep:
+    ``c_k`` is the mean value of the endowment at the root, ``eps2_k`` its
+    squared error around it."""
     if not op.unique_values(tol):
         raise ValueError("frontier requires uniqueness of value processes")
-    ex = op.hedge_ex(total_endowment(s, k), tol)
-    return FrontierData(ell=op.ell, c_k=ex.c, eps2_k=ex.sq_error)
+    v_bar, eps2 = op.values(_endowments(s, ks))
+    return [FrontierData(ell=op.ell, c_k=float(c), eps2_k=float(e))
+            for c, e in zip(v_bar[0], eps2)]
 
 
 def optimal_mv_strategy(
@@ -160,14 +170,21 @@ def optimal_mv_strategy(
 ) -> tuple[float, np.ndarray]:
     """Optimal strategy lam_k/ell units of the pure-investment hedge on
     top of holding the endowment and hedging the income."""
-    tree = s.tree
-    op = _as_operator(tree, prices)
+    y_k, theta, _ = _mv_strategies(s, _as_operator(s.tree, prices), [k], tol)[0]
+    return y_k, theta
+
+
+def _mv_strategies(s: Scenario, op: GainsOperator, ks, tol: float):
+    """``(y_k, theta_k, extended hedge of the endowment)`` of the agents
+    ``ks`` (see :func:`optimal_mv_strategy`) from one hedge sweep."""
     if not op.unique_values(tol):
         raise ValueError("optimal strategy requires uniqueness of value processes")
-    ex = op.hedge_ex(total_endowment(s, k), tol)
-    y_k = s.agents[k].preference.lam / op.ell
-    theta = y_k * op.theta1 + _constant_strategy(tree, _full_eta(s, k)) - ex.theta
-    return y_k, theta
+    out = []
+    for k, ex in zip(ks, op.hedges(_endowments(s, ks), tol, extended=True)):
+        y_k = s.agents[k].preference.lam / op.ell
+        theta = y_k * op.theta1 + _constant_strategy(s.tree, _full_eta(s, k)) - ex.theta
+        out.append((y_k, theta, ex))
+    return out
 
 
 def mv_efficiency_check(
@@ -219,7 +236,7 @@ def verify_fixed_point(
     if not op.unique_values(tol):
         raise ValueError("fixed-point check requires uniqueness of value processes")
     lams = _lambdas(s)
-    cs = [op.hedge_ex(total_endowment(s, k), tol).c for k in range(len(s.agents))]
+    cs = op.constants(_endowments(s, range(len(s.agents))))
     fp = abs(gamma_bar - sum(c + lam / op.ell for c, lam in zip(cs, lams)))
     mean_xi = float(tree.leaf_probs @ aggregate_endowment(s))
     ident = abs((gamma_bar - mean_xi) - (gamma_bar - sum(cs)) * op.ell)

@@ -1,21 +1,35 @@
-"""Mean-variance hedging by least-squares projection.
+"""Mean-variance hedging by nodewise dynamic programming.
 
-Strategies are identified by their gains paths ("S-equivalence"); the
-solvers return the minimal-norm coordinate representative.  The terminal
-gains map is materialised as a matrix over strategy coordinates, one
-d-vector per non-terminal node, that :class:`GainsOperator` factors once in
-the probability-weighted inner product: every hedge, uniqueness test and
-closed-form extended-hedge constant ``E[h(1 - g)] / ell`` comes from it.
-Functions taking ``prices`` here, in ``quadratic`` and in ``linear_mv``
-also accept the operator of those prices.  The opportunity process ``L``
-and the mean value process come from one backward recursion over the tree
-instead (Cerny 2004): each node's local hedge ratio minimises the
-``L``-weighted one-step error of the pure investment.
+Strategies are identified by their gains paths ("S-equivalence").  One
+:class:`GainsOperator` per price system runs the backward recursion of
+discrete-time mean-variance hedging (Schweizer 1995; Cerny 2004) once: at
+each non-terminal node ``n`` it factors the weighted local increments
+``X_n = diag(sqrt(p_c L_c)) dS_c`` over the children ``c`` (one stacked SVD
+per level, singular values cut at ``RCOND`` relative to the node's
+largest; with one asset the pseudo-inverse ``x^T / |x|^2`` needs none),
+and takes from that factor the local pure-investment hedge ratio
+``beta_n``, the opportunity process ``L`` (the minimal conditional squared
+error of hedging the payoff 1, with ``ell = L_0``) and the pure-investment
+hedge ``theta1``.
+
+Hedging payoffs, given as the columns of one matrix, is one more backward
+sweep for their mean value processes ``v_bar`` (with ``xi_n = pinv(X_n)
+(sqrt(p L) v_bar)``) and one forward feedback sweep ``theta_n = xi_n - V_n
+beta_n``, where ``V`` is the wealth started from capital 0 (the hedge) or
+``v_bar_0`` (the hedge with a free initial constant, which equals the
+closed form ``E[h(1 - g)] / ell`` with ``g`` the terminal pure-investment
+gain).  Where ``L`` is at most ``RCOND**2`` the payoff 1 is replicable from
+that node on: its weight and its ``v_bar`` are taken as 0.  Gains are
+unique iff at no node does dropping the children with ``L <= tol`` lower
+the rank of the local increments.  Every sweep costs O(nodes b d^2) for
+branching ``b`` and ``d`` assets.  Functions taking ``prices`` here, in
+``quadratic`` and in ``linear_mv`` also accept the operator of those prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +41,6 @@ __all__ = [
     "GainsOperator",
     "MvhSolution",
     "OpportunityProcess",
-    "build_gains_operator",
     "solve_mvh",
     "solve_exmvh",
     "c_of_H_formula",
@@ -39,91 +52,8 @@ __all__ = [
 ]
 
 RCOND = 1e-10
-
-
-@dataclass
-class GainsOperator:
-    """Linear map from strategy coordinates to gains, factored once.
-
-    ``terminal[r, c]`` is the terminal gain at leaf row ``r`` of one unit
-    in coordinate ``c``; ``paths[n, c]`` the gains-path value at node ``n``.
-    Coordinate ``c`` corresponds to ``cols[c] = (node, asset)``.  One SVD
-    of the weighted ``terminal`` (cut at ``RCOND``) gives the pure-investment
-    hedge ``theta1``, its error ``ell`` and ``kernel_gap``, the largest
-    gains-path entry of an orthonormal kernel basis of ``terminal``.
-    """
-
-    tree: FiltrationTree
-    prices: np.ndarray
-    cols: list[tuple[int, int]]
-    terminal: np.ndarray
-    paths: np.ndarray
-
-    def __post_init__(self):
-        self.col_node, self.col_asset = np.array(self.cols, dtype=int).reshape(-1, 2).T
-        w = np.sqrt(self.tree.leaf_probs)
-        u, sv, vt = np.linalg.svd(w[:, None] * self.terminal, full_matrices=True)
-        rank = int(np.sum(sv > RCOND * (sv[0] if len(sv) else 0.0)))
-        # pseudo-inverse: payoff -> minimal-norm coordinates of its hedge
-        self._pinv = (vt[:rank].T / sv[:rank]) @ (w[:, None] * u[:, :rank]).T
-        self.kernel_gap = float(np.max(np.abs(self.paths @ vt[rank:].T), initial=0.0))
-        x1 = self._pinv @ np.ones(self.tree.n_leaves)
-        self._g1 = self.terminal @ x1
-        self.ell = float(self.tree.leaf_probs @ (1.0 - self._g1) ** 2)
-        self.theta1 = self.theta_from_coords(x1)
-        self.theta1.flags.writeable = False
-
-    def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
-        theta = np.zeros((self.tree.n_nodes, self.prices.shape[1]))
-        theta[self.col_node, self.col_asset] = x
-        return theta
-
-    def unique_gains(self, tol: float) -> bool:
-        """See :func:`uniqueness_of_gains`."""
-        return self.kernel_gap <= tol
-
-    def unique_values(self, tol: float) -> bool:
-        """See :func:`uniqueness_of_values`."""
-        return self.unique_gains(tol) and self.ell > tol
-
-    def hedge(self, h, tol: float) -> MvhSolution:
-        """See :func:`solve_mvh`."""
-        x = self._pinv @ h
-        err = float(self.tree.leaf_probs @ (self.terminal @ x - h) ** 2)
-        return MvhSolution(self.theta_from_coords(x), err, unique=self.unique_gains(tol))
-
-    def hedge_ex(self, h, tol: float) -> MvhSolution:
-        """See :func:`solve_exmvh`; the constant is E[h(1 - g)] / ell with g
-        the terminal pure-investment gain."""
-        if self.ell <= tol:
-            raise ValueError("value-process uniqueness fails")
-        h = np.asarray(h, dtype=float)
-        c = float(self.tree.leaf_probs @ (h * (1.0 - self._g1))) / self.ell
-        return replace(self.hedge(h - c, tol), c=c)
-
-
-def build_gains_operator(tree: FiltrationTree, prices) -> GainsOperator:
-    prices = np.asarray(prices, dtype=float)
-    if prices.ndim == 1:
-        prices = prices[:, None]
-    d = prices.shape[1]
-    nonterminal = tree.nonterminal()
-    cols = [(int(n), j) for n in nonterminal for j in range(d)]
-    # first coordinate of each non-terminal node's block of d columns
-    first = np.zeros(tree.n_nodes, dtype=int)
-    first[nonterminal] = d * np.arange(len(nonterminal))
-    step = tree.increments(prices)
-    # a node's gains row is its parent's plus its own step in the parent's
-    # coordinates, filled level by level from the root
-    paths = np.zeros((tree.n_nodes, len(cols)))
-    for lvl in tree.nodes_at[1:]:
-        up = tree.parent[lvl]
-        paths[lvl] = paths[up]
-        paths[lvl[:, None], first[up][:, None] + np.arange(d)] = step[lvl]
-    terminal = paths[tree.leaves]
-    return GainsOperator(
-        tree=tree, prices=prices, cols=cols, terminal=terminal, paths=paths
-    )
+# values of the opportunity process treated as 0
+L_CUT = RCOND**2
 
 
 @dataclass(frozen=True)
@@ -137,17 +67,222 @@ class MvhSolution:
     unique: bool = False
 
 
+class _Level(NamedTuple):
+    """One time step of the sweeps: the ``k`` nodes at that time, their
+    children (padded to ``b`` per row, see ``FiltrationTree.child_table``)
+    and the factored local increments."""
+
+    nodes: np.ndarray
+    kids: np.ndarray
+    pos: np.ndarray  # rows of the nodes in the order of tree.nonterminal()
+    dsk: np.ndarray  # (k, b, d) price steps to the children
+    beta: np.ndarray  # (k, d, 1) local pure-investment hedge ratios
+    m: np.ndarray  # (k, d + 1, b): v_bar at the children -> xi and L v_bar
+    inv_L: np.ndarray  # (k,) 1 / L, 0 where L is cut
+    x: np.ndarray  # (k, b, d) weighted increments X = w dS
+    wgt: np.ndarray  # (k, b) weights w = sqrt(p L)
+    res: np.ndarray  # (k, b) local residual w (1 - beta . dS) of the payoff 1
+
+
+class GainsOperator:
+    """Mean-variance hedging engine of one price system.
+
+    Attributes set by the backward sweep: ``L`` (opportunity process, one
+    value per node), ``ell = L[0]``, ``beta`` (local pure-investment hedge
+    ratios, 0 at the leaves), ``y`` (shortfall ``1 - g`` of the
+    pure-investment hedge started at the root) and ``theta1 = beta * y``,
+    that hedge (read-only).
+    """
+
+    def __init__(self, tree: FiltrationTree, prices):
+        prices = np.asarray(prices, dtype=float)
+        if prices.ndim == 1:
+            prices = prices[:, None]
+        self.tree, self.prices = tree, prices
+        n, d = prices.shape
+        nt = tree.nonterminal()
+        # index n pads the child tables: probability 0, no step
+        ds = np.zeros((n + 1, d))
+        ds[:n] = tree.increments(prices)
+        sp = np.zeros(n + 1)
+        sp[:n] = np.sqrt(tree.cond_prob)
+        L = np.ones(n + 1)
+        sl = np.ones(n + 1)  # sqrt(L), 0 where L is cut
+        step = np.ones(n + 1)
+        beta = np.zeros((n, d))
+        self._ds, self._sp = ds, sp
+        self._levels = []
+        for nodes, kids in reversed(tree.child_table()):
+            wgt = sp[kids] * sl[kids]
+            dsk = ds[kids]
+            x = wgt[:, :, None] * dsk
+            if d == 1:  # one singular value, |x|: pinv(x) = x^T / |x|^2
+                n2 = np.einsum("kbi,kbi->ki", x, x)
+                pinv = (x / np.where(n2 > 0.0, n2, 1.0)[:, None, :]).transpose(0, 2, 1)
+            else:
+                u, sv, vt = np.linalg.svd(x, full_matrices=False)
+                keep = sv > RCOND * sv[:, :1]
+                inv = keep / np.where(keep, sv, 1.0)
+                pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
+            # pinv(X) diag(w): maps v_bar at the children to xi
+            pw = pinv * wgt[:, None, :]
+            b = pw.sum(axis=2)
+            gain = (dsk @ b[:, :, None])[:, :, 0]
+            res = wgt * (1.0 - gain)  # local residual of the pure investment
+            beta[nodes] = b
+            step[kids] = 1.0 - gain
+            Ln = (res * res).sum(axis=1)
+            L[nodes] = Ln
+            live = Ln > L_CUT
+            sl[nodes] = np.sqrt(Ln * live)
+            inv_L = live / np.where(live, Ln, 1.0)
+            # rows 0..d-1 of m map v_bar at the children to xi, row d to L v_bar
+            m = np.concatenate([pw, (res * wgt)[:, None, :]], axis=1)
+            self._levels.append(_Level(nodes, kids, np.searchsorted(nt, nodes), dsk,
+                                       b[:, :, None], m, inv_L, x, wgt, res))
+        self._levels.reverse()
+        self.L = L[:n]
+        self.ell = float(L[0])
+        self.beta = beta
+        self.y = tree.accumulate(step[:n], 0, np.multiply)
+        self.theta1 = beta * self.y[:, None]
+        self.theta1.flags.writeable = False
+        self._unique: dict[float, bool] = {}
+
+    def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
+        """Strategies ``(m, n_nodes, d)`` from their coordinates ``x``: the
+        d-vector held at each node of ``tree.nonterminal()``, in that order,
+        for each of ``m`` strategies (a flat vector is one strategy).
+        Leaves hold 0."""
+        nt = self.tree.nonterminal()
+        x = np.asarray(x, dtype=float).reshape(-1, len(nt), self.prices.shape[1])
+        theta = np.zeros((len(x), self.tree.n_nodes, x.shape[2]))
+        theta[:, nt] = x
+        return theta
+
+    def unique_gains(self, tol: float) -> bool:
+        """See :func:`uniqueness_of_gains`."""
+        if tol not in self._unique:
+            self._unique[tol] = self._gains_unique(tol)
+        return self._unique[tol]
+
+    def _gains_unique(self, tol: float) -> bool:
+        """A strategy with null terminal gains but a nonzero gains path
+        exists iff some step pays off only at children from which the
+        payoff 1 is replicable (``L <= tol``) and nowhere else."""
+        L = np.append(self.L, 1.0)
+        if L[1:].min() > tol:
+            return True
+        for lv in self._levels:
+            kids = lv.kids
+            low = L[kids] <= tol
+            rows = low.any(axis=1)
+            if not rows.any():
+                continue
+            kids, low = kids[rows], low[rows]
+            y = self._sp[kids, None] * self._ds[kids]
+            sv_all = np.linalg.svd(y, compute_uv=False)
+            sv_kept = np.linalg.svd(np.where(low[:, :, None], 0.0, y), compute_uv=False)
+            cut = RCOND * sv_all[:, :1]
+            if np.any(np.sum(sv_kept > cut, axis=1) < np.sum(sv_all > cut, axis=1)):
+                return False
+        return True
+
+    def unique_values(self, tol: float) -> bool:
+        """See :func:`uniqueness_of_values`."""
+        return self.unique_gains(tol) and self.ell > tol
+
+    def values(self, H) -> tuple[np.ndarray, np.ndarray]:
+        """Mean value process of each payoff column of ``H`` (one row per
+        leaf) at every node, and each column's minimal squared error with
+        a free initial constant, ``eps2``: the sum over nodes of ``P(n)``
+        times the squared local residual.  One backward sweep."""
+        v_bar, _, eps2 = self._backward(H, with_error=True)
+        return v_bar, eps2
+
+    def constants(self, H) -> np.ndarray:
+        """Closed-form initial constants ``E[h (1 - g)] / ell`` of the
+        payoff columns of ``H``; no sweep."""
+        tree = self.tree
+        return (tree.leaf_probs * self.y[tree.leaves]) @ np.asarray(H, float) / self.ell
+
+    def _backward(self, H, with_error=False):
+        """``v_bar`` (n_nodes, m), the per-level ``xi`` (k, d, m) and, if
+        asked for, ``eps2`` (m,) of the payoff columns of ``H``."""
+        tree = self.tree
+        n, d = self.prices.shape
+        H = np.asarray(H, dtype=float).reshape(tree.n_leaves, -1)
+        v = np.zeros((n + 1, H.shape[1]))
+        v[tree.leaves] = H
+        eps2 = np.zeros(H.shape[1]) if with_error else None
+        xis = []
+        for lv in reversed(self._levels):
+            vk = v[lv.kids]
+            out = lv.m @ vk
+            xi, vn = out[:, :d], out[:, d] * lv.inv_L[:, None]
+            v[lv.nodes] = vn
+            xis.append(xi)
+            if with_error:
+                r = lv.wgt[:, :, None] * vk - lv.x @ xi - lv.res[:, :, None] * vn[:, None, :]
+                eps2 += tree.prob[lv.nodes] @ np.einsum("kbm,kbm->km", r, r)
+        return v[:n], xis[::-1], eps2
+
+    def _forward(self, xis, capital) -> tuple[np.ndarray, np.ndarray]:
+        """Strategies (``(m, n_nodes, d)``) and wealth paths (``(n_nodes,
+        m)``) of the feedback ``theta = xi - V beta``, the wealth ``V``
+        started from ``capital`` (one per column)."""
+        n, d = self.prices.shape
+        wealth = np.zeros((n + 1, len(capital)))
+        wealth[0] = capital
+        coords = np.zeros((len(capital), len(self.tree.nonterminal()), d))
+        for lv, xi in zip(self._levels, xis):
+            vn = wealth[lv.nodes]
+            th = xi - lv.beta * vn[:, None, :]
+            coords[:, lv.pos] = th.transpose(2, 0, 1)
+            wealth[lv.kids] = vn[:, None, :] + lv.dsk @ th
+        return self.theta_from_coords(coords), wealth[:n]
+
+    def hedges(self, H, tol: float, extended=False) -> list[MvhSolution]:
+        """Hedge of each payoff column of ``H`` (one row per leaf) from one
+        backward and one forward sweep.  ``extended`` (one flag, or one
+        per column) marks the columns hedged with a free initial constant,
+        ``v_bar_0`` (see :func:`solve_exmvh`); they need ``ell > tol``."""
+        tree = self.tree
+        H = np.asarray(H, dtype=float).reshape(tree.n_leaves, -1)
+        extended = np.broadcast_to(np.asarray(extended, dtype=bool), H.shape[1:])
+        if extended.any() and self.ell <= tol:
+            raise ValueError("value-process uniqueness fails")
+        v, xis, _ = self._backward(H)
+        capital = np.where(extended, v[0], 0.0)
+        theta, wealth = self._forward(xis, capital)
+        err = tree.leaf_probs @ (wealth[tree.leaves] - H) ** 2
+        unique = self.unique_gains(tol)
+        return [
+            MvhSolution(theta[j], float(err[j]), float(capital[j]) if extended[j] else None,
+                        unique)
+            for j in range(H.shape[1])
+        ]
+
+    def hedge(self, h, tol: float) -> MvhSolution:
+        """See :func:`solve_mvh`."""
+        return self.hedges(h, tol)[0]
+
+    def hedge_ex(self, h, tol: float) -> MvhSolution:
+        """See :func:`solve_exmvh`."""
+        return self.hedges(h, tol, extended=True)[0]
+
+
 def _as_operator(tree: FiltrationTree, prices) -> GainsOperator:
     """``prices`` if it is an operator already, else its operator."""
     if isinstance(prices, GainsOperator):
         return prices
-    return build_gains_operator(tree, prices)
+    return GainsOperator(tree, prices)
 
 
 def solve_mvh(
     tree: FiltrationTree, prices, h, tol: float = DEFAULT_TOL
 ) -> MvhSolution:
-    """Minimise E[(theta . S_T - h)^2]; minimal-norm coordinates."""
+    """Minimise E[(theta . S_T - h)^2] over strategies."""
     return _as_operator(tree, prices).hedge(h, tol)
 
 
@@ -173,14 +308,17 @@ def c_of_H_formula(
 ) -> float:
     """Initial constant of the extended hedge via the closed form
     E[h(1 - g)] / E[(1 - g)^2] with g the terminal pure-investment gain."""
-    return _as_operator(tree, prices).hedge_ex(h, tol).c
+    op = _as_operator(tree, prices)
+    if op.ell <= tol:
+        raise ValueError("value-process uniqueness fails")
+    return float(op.constants(h))
 
 
 def uniqueness_of_gains(
     tree: FiltrationTree, prices, tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff strategies with equal terminal gains have equal gains
-    paths, decided on a kernel basis of the terminal map."""
+    paths, decided node by node from the local increments."""
     return _as_operator(tree, prices).unique_gains(tol)
 
 
@@ -225,36 +363,25 @@ class OpportunityProcess:
 def opportunity_process(
     tree: FiltrationTree, prices, h_bar, tol: float = DEFAULT_TOL
 ) -> OpportunityProcess:
-    """Solve the conditional pure-investment problem on every subtree by
-    one backward recursion.
+    """The opportunity process and the mean value process of ``h_bar``,
+    read off the engine of ``prices``.
 
     ``L`` is the per-node minimal conditional squared error (a (0,1]-valued
     submartingale with value 1 at the horizon); ``v_bar`` the mean value
     process of ``h_bar``; ``theta0`` the optimal pure-investment strategy
     from the root and ``m0 = L (1 - theta0 . S)``.  Requires uniqueness of
-    value processes.
+    value processes, and raises ``ValueError`` naming the first node where
+    ``L`` vanishes, since ``v_bar`` is undefined there.
     """
     op = _as_operator(tree, prices)
     if not op.unique_values(tol):
         raise ValueError("opportunity process needs uniqueness of value processes")
-    ds = tree.increments(op.prices)
-    L = np.ones(tree.n_nodes)
-    W = np.zeros(tree.n_nodes)
-    W[tree.leaves] = h_bar
-    beta = np.zeros_like(ds)
-    step = np.ones(tree.n_nodes)
-    # from the horizon back: the local hedge ratio beta = pinv(G) a, with
-    # a = E_n[L dS] and G = E_n[L dS dS^T], minimises E_n[L (1 - beta . dS)^2];
-    # L and W = L v_bar are the conditional means of L step and W step
-    for t in range(tree.horizon - 1, -1, -1):
-        lvl, kids = tree.nodes_at[t], tree.nodes_at[t + 1]
-        lds = L[:, None] * ds
-        a = tree.child_mean(lds)[lvl]
-        g = tree.child_mean(lds[:, :, None] * ds[:, None, :])[lvl]
-        beta[lvl] = (np.linalg.pinv(g, rcond=RCOND) @ a[:, :, None])[:, :, 0]
-        step[kids] = 1.0 - np.einsum("ij,ij->i", beta[tree.parent[kids]], ds[kids])
-        L[lvl], W[lvl] = tree.child_mean(np.column_stack([L * step, W * step]))[lvl].T
-
-    # shortfall 1 - theta0 . S of the root's pure-investment hedge
-    y = tree.accumulate(step, 0, np.multiply)
-    return OpportunityProcess(L=L, v_bar=W / L, theta0=beta * y[:, None], m0=L * y)
+    nt = tree.nonterminal()
+    dead = nt[op.L[nt] <= L_CUT]
+    if len(dead):
+        raise ValueError(
+            f"opportunity process vanishes at node {dead[0]}, "
+            "where the mean value process is undefined"
+        )
+    v_bar, _ = op.values(h_bar)
+    return OpportunityProcess(L=op.L, v_bar=v_bar[:, 0], theta0=op.theta1, m0=op.L * op.y)

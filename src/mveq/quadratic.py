@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvh import _as_operator, build_gains_operator
+from .mvh import GainsOperator, _as_operator
 from .scenario import (
     DEFAULT_TOL,
     Quadratic,
@@ -260,28 +260,38 @@ def individual_optimal(
     The report cross-checks the hedging/pure-investment decomposition
     whenever the pure-investment error is positive.
     """
-    tree = s.tree
-    op = _as_operator(tree, prices)
-    gamma_k = s.agents[k].preference.gamma
-    xi_k = total_endowment(s, k)
-    hk = gamma_k - xi_k
-    sol = op.hedge(hk, tol)
-    theta = sol.theta + _constant_strategy(tree, _full_eta(s, k))
+    return _optima(s, _as_operator(s.tree, prices), [k], tol)[0][0]
 
-    report = {"mvh_sq_error": sol.sq_error, "unique": sol.unique}
-    if op.unique_values(tol):
-        ex = op.hedge_ex(xi_k, tol)
-        alt = (
-            _constant_strategy(tree, _full_eta(s, k))
-            - ex.theta
-            + (gamma_k - ex.c) * op.theta1
-        )
-        diff = stoch_integral(tree, theta, op.prices) - stoch_integral(
-            tree, alt, op.prices
-        )
-        report["c_k"] = ex.c
-        report["decomposition_gap"] = float(np.max(np.abs(diff)))
-    return theta, report
+
+def _optima(s: Scenario, op: GainsOperator, ks, tol: float, extra=None):
+    """:func:`individual_optimal` of the agents ``ks``, plus the hedge of
+    the payoff ``extra`` if given, from one hedge sweep."""
+    tree = s.tree
+    gammas = [s.agents[k].preference.gamma for k in ks]
+    xis = [total_endowment(s, k) for k in ks]
+    ex = op.unique_values(tol)
+    # hedged from capital 0: the bliss-point shortfalls and ``extra``; with
+    # a free constant: the endowments, where that constant is unique
+    plain = [g - x for g, x in zip(gammas, xis)] + ([] if extra is None else [extra])
+    cols = plain + (xis if ex else [])
+    sols = op.hedges(np.reshape(cols, (-1, tree.n_leaves)).T, tol,
+                     np.arange(len(cols)) >= len(plain))
+
+    out = []
+    for i, k in enumerate(ks):
+        eta = _constant_strategy(tree, _full_eta(s, k))
+        theta = sols[i].theta + eta
+        report = {"mvh_sq_error": sols[i].sq_error, "unique": sols[i].unique}
+        if ex:
+            # gains of theta minus those of the decomposition
+            # eta - (hedge of xi_k) + (gamma_k - c_k) theta1
+            e = sols[len(plain) + i]
+            alt = eta - e.theta + (gammas[i] - e.c) * op.theta1
+            diff = stoch_integral(tree, theta - alt, op.prices)
+            report["c_k"] = e.c
+            report["decomposition_gap"] = float(np.max(np.abs(diff)))
+        out.append((theta, report))
+    return out, (None if extra is None else sols[len(ks)])
 
 
 def clearing_residual(s: Scenario, prices, strategies) -> float:
@@ -302,11 +312,9 @@ def representative_check(
     tree = s.tree
     op = _as_operator(tree, prices)
     agg = aggregate(s)
-    total = np.zeros((tree.n_nodes, s.d))
-    for k in range(len(s.agents)):
-        theta, _ = individual_optimal(s, op, k, tol)
-        total += theta
-    rep = op.hedge(agg.h_bar, tol).theta + _constant_strategy(tree, agg.eta_bar)
+    optima, sol = _optima(s, op, range(len(s.agents)), tol, extra=agg.h_bar)
+    total = sum((theta for theta, _ in optima), np.zeros((tree.n_nodes, s.d)))
+    rep = sol.theta + _constant_strategy(tree, agg.eta_bar)
     diff = stoch_integral(tree, total, op.prices) - stoch_integral(
         tree, rep, op.prices
     )
@@ -343,11 +351,11 @@ def verify_equilibrium(
                 prices=prices,
             )
 
-    op = build_gains_operator(tree, prices)
+    op = GainsOperator(tree, prices)
+    optima, _ = _optima(s, op, range(len(s.agents)), tol)
     strategies = []
     gaps = []
-    for k in range(len(s.agents)):
-        theta, rep = individual_optimal(s, op, k, tol)
+    for k, (theta, rep) in enumerate(optima):
         strategies.append(theta)
         gamma_k = s.agents[k].preference.gamma
         hk = gamma_k - total_endowment(s, k)

@@ -21,7 +21,9 @@ Every tree sweep is built from two step primitives that work on the
 :meth:`FiltrationTree.child_mean`, ``E[y_child | node]`` at every node at
 once (backward sweeps apply it level by level from the horizon), and
 :meth:`FiltrationTree.accumulate`, the forward sweep ``out[c] =
-out[parent[c]] + inc[c]`` level by level from the root.
+out[parent[c]] + inc[c]`` level by level from the root.  The hedging
+engine, which factors each node's children jointly, reads them from
+:meth:`FiltrationTree.child_table` instead, one padded table per level.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ class FiltrationTree:
         self.cond_prob = np.ones(n)
         if self._bad_node is None:
             self.cond_prob[1:] = self.prob[1:] / self.prob[parent[1:]]
+        self._child_table = None
 
     @property
     def n_nodes(self) -> int:
@@ -149,6 +152,32 @@ class FiltrationTree:
         for j in range(cols.shape[1]):
             out[:, j] = np.bincount(self.parent[1:], weights=cols[:, j], minlength=n)
         return out.reshape(y.shape)
+
+    def child_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per time ``t < horizon``, the nodes at ``t`` and their children:
+        row ``i`` of the ``(len(nodes), width)`` table lists the children
+        of ``nodes[i]`` in increasing id order, padded with ``n_nodes`` (one
+        past the last node id) to the widest row.  Built once per tree;
+        raises like :meth:`child_mean` where conditional probabilities are
+        undefined."""
+        if self._bad_node is not None:
+            raise ValueError(f"node {self._bad_node} has nonpositive probability")
+        if self._child_table is None:
+            n, parent = self.n_nodes, self.parent
+            counts = np.bincount(parent[1:], minlength=n)
+            first = np.cumsum(counts) - counts
+            # children grouped by parent (stable: by id within a group)
+            order = np.argsort(parent[1:], kind="stable") + 1
+            slot = np.empty(n, dtype=int)
+            slot[order] = np.arange(n - 1) - first[parent[order]]
+            row = np.empty(n, dtype=int)
+            self._child_table = []
+            for nodes, kids in zip(self.nodes_at[:-1], self.nodes_at[1:]):
+                row[nodes] = np.arange(len(nodes))
+                table = np.full((len(nodes), counts[nodes].max()), n)
+                table[row[parent[kids]], slot[kids]] = kids
+                self._child_table.append((nodes, table))
+        return self._child_table
 
     def accumulate(self, x: np.ndarray, start: int = 0, op=np.add) -> np.ndarray:
         """Forward sweep in place: ``x[c] = op(x[parent[c]], x[c])`` for

@@ -35,9 +35,9 @@ from mveq import (
 from mveq.cli import main as cli_main
 from mveq.generate import generate_random_scenario, random_tree
 from mveq.io import emit_scenario
-from mveq.mvh import build_gains_operator
 from mveq.quadratic import _constant_strategy, _full_eta
 
+from dense_oracle import DenseGains
 from test_linear_mv import brute_force_min_variance
 from test_mvh import lstsq_exhedge
 
@@ -164,7 +164,7 @@ def _dominance_holds(s, report, k, n_competitors, rng):
     tree = s.tree
     lam = s.agents[k].preference.lam
     xi = total_endowment(s, k)
-    op = build_gains_operator(tree, report.prices)
+    terminal = DenseGains(tree, report.prices).terminal
 
     def utility(v):
         mean = tree.leaf_probs @ v
@@ -173,8 +173,8 @@ def _dominance_holds(s, report, k, n_competitors, rng):
 
     net = report.strategies[k] - _constant_strategy(tree, _full_eta(s, k))
     best = utility(stoch_integral(tree, net, report.prices)[tree.leaves] + xi)
-    coords = rng.uniform(-3, 3, size=(op.terminal.shape[1], n_competitors))
-    values = xi[:, None] + op.terminal @ coords
+    coords = rng.uniform(-3, 3, size=(terminal.shape[1], n_competitors))
+    values = xi[:, None] + terminal @ coords
     means = tree.leaf_probs @ values
     variances = tree.leaf_probs @ (values - means) ** 2
     return np.all(means - variances / (2 * lam) <= best + 1e-10)

@@ -15,8 +15,9 @@ from mveq import (
     verify_fixed_point,
 )
 from mveq.generate import generate_random_scenario
-from mveq.mvh import build_gains_operator
 from mveq.quadratic import _constant_strategy, _full_eta
+
+from dense_oracle import DenseGains
 
 
 def with_lambda(s, lam):
@@ -31,10 +32,9 @@ def brute_force_min_variance(s, prices, k, target_mean):
     """Oracle: minimum variance over all strategies hitting the target mean,
     via the stationarity system of the constrained least-squares problem."""
     tree = s.tree
-    op = build_gains_operator(tree, prices)
     xi = total_endowment(s, k)
     p = tree.leaf_probs
-    a = op.terminal
+    a = DenseGains(tree, prices).terminal
     q = a.T @ (p[:, None] * a)
     m1 = a.T @ p  # E[column gains]
     b = a.T @ (p * xi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mveq import (
-    build_gains_operator,
+    FiltrationTree,
     c_of_H_formula,
     martingale_from_terminal,
     opportunity_process,
@@ -15,9 +15,11 @@ from mveq import (
     zero_solves_mvh_iff,
 )
 from mveq.generate import generate_random_scenario, random_tree
-from mveq.mvh import RCOND
+from mveq.mvh import GainsOperator
 from mveq.scenario import DEFAULT_TOL
 from mveq.quadratic import construct_regular, aggregate
+
+from dense_oracle import DenseGains
 
 
 def random_market(seed, horizon=2):
@@ -30,46 +32,90 @@ def leaf_gains(tree, theta, prices):
     return stoch_integral(tree, theta, prices)[tree.leaves]
 
 
+def constructed_market(rng):
+    """Seeded tree and prices where about a third of the nodes step
+    deterministically (the payoff 1 is replicable there, so ``L``
+    vanishes), some do not step at all and, with two assets, some step
+    deterministically in one asset only."""
+    d = int(rng.integers(1, 3))
+    tree = random_tree(rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+    ds = rng.uniform(-1, 1, (tree.n_nodes, d))
+    ds[0] = 0.0
+    for n in tree.nonterminal():
+        cs, u = tree.children[n], rng.uniform()
+        if u < 0.3:
+            ds[cs] = ds[cs[0]]
+        elif u < 0.4:
+            ds[cs] = 0.0
+        elif u < 0.5:
+            ds[cs, -1] = ds[cs[0], -1]
+    return tree, tree.accumulate(ds)
+
+
+def riskless_node_market():
+    """No risk out of the root, a riskless gain of 1 out of node 1 (``L``
+    vanishes there) and a fair coin out of node 2."""
+    tree = FiltrationTree([[1, 2], [3, 4], [5, 6], [], [], [], []], [0.25] * 4)
+    return tree, np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, -1.0])[:, None]
+
+
 # Dense oracles: each hedge as one weighted least-squares solve on the
 # terminal gains matrix, the extended one with a column for the constant.
 
 
 def lstsq_hedge(tree, prices, h):
     """Gains path of the minimal-norm least-squares hedge of ``h``."""
-    op = build_gains_operator(tree, prices)
-    w = np.sqrt(tree.leaf_probs)
-    x, *_ = np.linalg.lstsq(w[:, None] * op.terminal, w * h, rcond=RCOND)
-    return op.paths @ x
+    dense = DenseGains(tree, prices)
+    return dense.paths @ dense.hedge(h)
 
 
 def lstsq_exhedge(tree, prices, h):
     """Constant and gains path of the joint least-squares fit of ``h`` by
     a constant plus a terminal gain."""
-    op = build_gains_operator(tree, prices)
-    w = np.sqrt(tree.leaf_probs)
-    a = np.hstack([np.ones((tree.n_leaves, 1)), op.terminal])
-    x, *_ = np.linalg.lstsq(w[:, None] * a, w * h, rcond=RCOND)
-    return float(x[0]), op.paths @ x[1:]
+    dense = DenseGains(tree, prices)
+    c, x = dense.exhedge(h)
+    return c, dense.paths @ x
 
 
-@pytest.mark.parametrize(
-    "market", ["random-3", "random-17", "random-23", "random-31", "collinear", "cancel"]
-)
+MARKETS = ["random-3", "random-17", "random-23", "random-31", "collinear", "cancel",
+           "riskless-root", "riskless-node", "constructed-5", "constructed-8"]
+
+
+@pytest.mark.parametrize("market", MARKETS)
 def test_hedges_match_dense_oracles(market, coin_tree, cancel_tree_prices):
+    """Terminal gains and errors always match the oracle's; gains paths
+    only where they are unique (on ``cancel``, for one, equal terminal
+    gains come from different paths)."""
+    kind, _, seed = market.partition("-")
     if market == "collinear":
         tree, prices = coin_tree, np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
     elif market == "cancel":
         tree, prices = cancel_tree_prices
+    elif market == "riskless-root":
+        tree, prices = coin_tree, np.array([0.5, 1.0, 1.0])[:, None]
+    elif market == "riskless-node":
+        tree, prices = riskless_node_market()
+    elif kind == "constructed":
+        tree, prices = constructed_market(np.random.default_rng(int(seed)))
     else:
-        tree, prices, _ = random_market(int(market.split("-")[1]))
+        tree, prices, _ = random_market(int(seed))
     _, ell = pure_investment(tree, prices)
+    unique = uniqueness_of_gains(tree, prices)
+    p = tree.leaf_probs
+
+    def assert_matches(sol, c, oracle_paths, h):
+        gains = c + stoch_integral(tree, sol.theta, prices)
+        np.testing.assert_allclose(gains[tree.leaves], c + oracle_paths[tree.leaves],
+                                   rtol=0, atol=1e-10)
+        oracle_err = float(p @ (c + oracle_paths[tree.leaves] - h) ** 2)
+        assert sol.sq_error == pytest.approx(oracle_err, rel=1e-10, abs=1e-12)
+        if unique:
+            np.testing.assert_allclose(gains, c + oracle_paths, rtol=0, atol=1e-10)
+
     rng = np.random.default_rng(7)
     for _ in range(3):
         h = rng.uniform(-2, 2, tree.n_leaves)
-        sol = solve_mvh(tree, prices, h)
-        gains = stoch_integral(tree, sol.theta, prices)
-        oracle = lstsq_hedge(tree, prices, h)
-        np.testing.assert_allclose(gains, oracle, rtol=0, atol=1e-10)
+        assert_matches(solve_mvh(tree, prices, h), 0.0, lstsq_hedge(tree, prices, h), h)
         c, paths = lstsq_exhedge(tree, prices, h)
         if ell <= DEFAULT_TOL:  # the constant is not unique; the oracle picks one
             with pytest.raises(ValueError, match="uniqueness"):
@@ -77,23 +123,42 @@ def test_hedges_match_dense_oracles(market, coin_tree, cancel_tree_prices):
             continue
         ex = solve_exmvh(tree, prices, h)
         assert abs(ex.c - c) <= 1e-10
-        gains = stoch_integral(tree, ex.theta, prices)
-        np.testing.assert_allclose(gains, paths, rtol=0, atol=1e-10)
+        assert_matches(ex, c, paths, h)
+
+
+def test_nodewise_uniqueness_matches_kernel_criterion(cancel_tree_prices):
+    rng = np.random.default_rng(2024)
+    markets = [constructed_market(rng) for _ in range(240)] + [cancel_tree_prices]
+    outcomes = []
+    for tree, prices in markets:
+        kernel = DenseGains(tree, prices).kernel_gap() <= DEFAULT_TOL
+        assert uniqueness_of_gains(tree, prices) == kernel
+        outcomes.append(kernel)
+    assert 50 <= sum(outcomes) <= len(outcomes) - 50
+    # the constructed markets of the hedging test have unique gains and not
+    assert [uniqueness_of_gains(*constructed_market(np.random.default_rng(seed)))
+            for seed in (5, 8)] == [False, True]
 
 
 def test_gains_operator_one_period(coin_tree):
     prices = np.array([25 / 17, 2.0, 1.0])[:, None]
-    op = build_gains_operator(coin_tree, prices)
-    np.testing.assert_allclose(op.terminal, [[9 / 17], [-8 / 17]])
+    np.testing.assert_allclose(DenseGains(coin_tree, prices).terminal,
+                               [[9 / 17], [-8 / 17]])
     # constant prices give the zero operator
-    op0 = build_gains_operator(coin_tree, np.ones(3))
-    np.testing.assert_allclose(op0.terminal, 0.0)
+    np.testing.assert_allclose(DenseGains(coin_tree, np.ones(3)).terminal, 0.0)
+    # one-period oracle: ell = 1 - E[dS]^2 / E[dS^2]
+    assert GainsOperator(coin_tree, prices).ell == pytest.approx(
+        1 - (1 / 34) ** 2 / (145 / 289 / 2), abs=1e-12)
+    assert GainsOperator(coin_tree, np.ones(3)).ell == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gains_operator_collinear_columns(coin_tree):
     prices = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
-    op = build_gains_operator(coin_tree, prices)
-    assert np.linalg.matrix_rank(op.terminal) == 1
+    assert np.linalg.matrix_rank(DenseGains(coin_tree, prices).terminal) == 1
+    # a collinear second asset leaves the pure-investment problem as it is
+    drifting = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0]])
+    assert GainsOperator(coin_tree, drifting).ell == pytest.approx(
+        GainsOperator(coin_tree, drifting[:, 0]).ell, abs=1e-14)
 
 
 def test_solve_mvh_zero_and_attainable(coin_tree):
@@ -137,9 +202,9 @@ def test_first_order_condition():
     h = rng.uniform(-2, 2, tree.n_leaves)
     sol = solve_mvh(tree, prices, h)
     resid = h - leaf_gains(tree, sol.theta, prices)
-    op = build_gains_operator(tree, prices)
-    for col in range(op.terminal.shape[1]):
-        assert tree.leaf_probs @ (op.terminal[:, col] * resid) == pytest.approx(
+    terminal = DenseGains(tree, prices).terminal
+    for col in range(terminal.shape[1]):
+        assert tree.leaf_probs @ (terminal[:, col] * resid) == pytest.approx(
             0.0, abs=1e-10
         )
 
@@ -281,39 +346,75 @@ def test_opportunity_process_requires_uniqueness(coin_tree):
         opportunity_process(coin_tree, np.array([0.5, 1.0, 1.0]), np.ones(2))
 
 
-def count_factorizations(monkeypatch):
-    counts = {"svd": 0, "lstsq": 0}
-    for name in counts:
-        real = getattr(np.linalg, name)
+def test_opportunity_process_names_node_where_L_vanishes():
+    tree, prices = riskless_node_market()
+    assert uniqueness_of_values(tree, prices)
+    with pytest.raises(ValueError, match="vanishes at node 1"):
+        opportunity_process(tree, prices, np.array([0.0, 1.0, 2.0, 3.0]))
+
+
+def count_calls(monkeypatch, owner, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(owner, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
-def test_one_factorization_per_price_system(scen_a, scen_b, tmp_path, capsys,
-                                            monkeypatch):
+def test_one_engine_per_price_system(scen_a, scen_b, tmp_path, capsys, monkeypatch):
     from mveq.linear_mv import solve_linear_mv
     from mveq.quadratic import solve_quadratic
     from test_io_cli import run_cli, write_scenario
 
     path = write_scenario(tmp_path / "b.json", scen_b, solve_linear_mv(scen_b).prices)
-    counts = count_factorizations(monkeypatch)
+    engines = count_calls(monkeypatch, GainsOperator, ["__init__"])
+    linalg = count_calls(monkeypatch, np.linalg, ["lstsq"])
+    rows = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        rows.append(np.shape(a)[-2])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    # with two assets the local increments are factored by SVDs
+    two = generate_random_scenario(3, horizon=3, branching=3, d1=0, d2=2, n_agents=2)
     runs = {
-        "solve_quadratic": lambda: solve_quadratic(scen_a),
-        "solve_linear_mv": lambda: solve_linear_mv(scen_b),
-        "cli frontier": lambda: run_cli(["frontier", "--input", path]),
+        "solve_quadratic": (scen_a, lambda: solve_quadratic(scen_a)),
+        "solve_linear_mv": (scen_b, lambda: solve_linear_mv(scen_b)),
+        "cli frontier": (scen_b, lambda: run_cli(["frontier", "--input", path])),
+        "solve_quadratic, two assets": (two, lambda: solve_quadratic(two)),
     }
-    for name, run in runs.items():
-        counts.update(svd=0, lstsq=0)
+    for name, (s, run) in runs.items():
+        engines.update(__init__=0)
+        linalg.update(lstsq=0)
+        rows.clear()
         run()
-        assert counts == {"svd": 1, "lstsq": 0}, name
+        assert engines == {"__init__": 1}, name
+        assert linalg == {"lstsq": 0}, name
+        assert max(rows, default=0) <= max(len(cs) for cs in s.tree.children), name
+    assert rows
     capsys.readouterr()
-    # the opportunity process is one backward sweep: the operator's SVD only
+
+
+def test_one_hedge_sweep_per_solve(monkeypatch):
+    from mveq.linear_mv import solve_linear_mv
+    from mveq.quadratic import solve_quadratic
+
+    sweeps = count_calls(monkeypatch, GainsOperator, ["__init__", "_backward", "_forward"])
+    for kind, solve in (("linear_mv", solve_linear_mv), ("quadratic", solve_quadratic)):
+        s = generate_random_scenario(5, horizon=3, branching=3, d1=0, d2=2,
+                                     n_agents=3, preference_kind=kind)
+        sweeps.update(__init__=0, _backward=0, _forward=0)
+        solve(s)
+        assert sweeps == {"__init__": 1, "_backward": 1, "_forward": 1}, kind
+    # the opportunity process needs no forward sweep
     tree, prices, s = random_market(41)
-    counts.update(svd=0, lstsq=0)
+    sweeps.update(__init__=0, _backward=0, _forward=0)
     opportunity_process(tree, prices, aggregate(s).h_bar)
-    assert counts == {"svd": 1, "lstsq": 0}
+    assert sweeps == {"__init__": 1, "_backward": 1, "_forward": 0}

@@ -31,13 +31,15 @@ from mveq import (
 )
 from mveq.generate import generate_random_scenario, random_tree
 from mveq.linear_mv import _is_trivial_regime
-from mveq.mvh import RCOND, build_gains_operator
+from mveq.mvh import RCOND, GainsOperator
 from mveq.quadratic import (
     _financial_prices,
     _productive_prices_degenerate,
     check_necessary_conditions,
     restart_martingale_failures,
 )
+
+from dense_oracle import DenseGains
 
 RTOL = 1e-12
 TOL = 1e-9
@@ -309,7 +311,7 @@ def test_restarted_exponential_matches_loop_bitwise(tree):
 def test_gains_operator_matches_loop_bitwise(tree):
     rng = np.random.default_rng(tree.n_nodes + 3)
     prices = rng.uniform(-2, 2, (tree.n_nodes, 2))
-    op = build_gains_operator(tree, prices)
+    op = DenseGains(tree, prices)
     cols, paths = loop_gains_paths(tree, prices)
     assert op.cols == cols
     np.testing.assert_array_equal(op.paths, paths)
@@ -319,6 +321,9 @@ def test_gains_operator_matches_loop_bitwise(tree):
     for c, (n, j) in enumerate(cols):
         assert theta[n, j] == x[c]
     assert np.count_nonzero(theta) == np.count_nonzero(x)
+    # the engine reads coordinates in the same order
+    np.testing.assert_array_equal(GainsOperator(tree, prices).theta_from_coords(x)[0],
+                                  theta)
 
 
 @pytest.mark.parametrize("tree", TREES, ids=IDS)
