@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scenario import DEFAULT_TOL
-from .stoch import is_martingale, martingale_from_terminal
+from .stoch import RCOND, is_martingale, martingale_from_terminal
 from .tree import FiltrationTree
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "opportunity_process",
 ]
 
-RCOND = 1e-10
 # values of the opportunity process treated as 0
 L_CUT = RCOND**2
 

@@ -133,33 +133,20 @@ def loop_bracket(tree, a, b):
     return out
 
 
-def loop_gkw(tree, z, m, tol):
+def loop_gkw(tree, z, m):
     d1 = m.shape[1]
     xi = np.zeros((tree.n_nodes, d1))
     residual = np.zeros(tree.n_nodes)
     for n in tree.nonterminal():
         cs = tree.children[n]
-        w = tree.child_weights(n)
+        w = np.sqrt(tree.child_weights(n))
         dz = z[cs] - z[n]
         dm = m[cs] - m[n]
-
-        def inner(x, y):
-            return float(w @ (x * y))
-
-        xi_n = np.zeros(d1)
-        basis = []
-        for i in range(d1):
-            o = dm[:, i].copy()
-            coeffs = np.zeros(d1)
-            coeffs[i] = 1.0
-            for ob, cb in basis:
-                c = inner(dm[:, i], ob) / inner(ob, ob)
-                o -= c * ob
-                coeffs -= c * cb
-            nrm = inner(o, o)
-            if nrm > tol:
-                basis.append((o, coeffs))
-                xi_n += (inner(dz, o) / nrm) * coeffs
+        scale = np.max(np.abs(m[[n, *cs]]), axis=0)
+        scale[scale == 0.0] = 1.0
+        u, sv, vt = np.linalg.svd(w[:, None] * dm / scale, full_matrices=False)
+        keep = sv > RCOND
+        xi_n = vt[keep].T @ ((u[:, keep].T @ (w * dz)) / sv[keep]) / scale
         xi[n] = xi_n
         residual[cs] = residual[n] + dz - dm @ xi_n
     return xi, residual
@@ -286,7 +273,7 @@ def test_gkw_and_integral_match_loops(tree):
     m = np.column_stack([m, m[:, 0] - 2.0 * m[:, 1]])  # a dependent column
     m -= m[0]
     dec = gkw_decompose(tree, z, m)
-    xi, residual = loop_gkw(tree, z, m, TOL)
+    xi, residual = loop_gkw(tree, z, m)
     assert_close(dec.xi, xi)
     assert_close(dec.residual, residual)
     theta = rng.uniform(-1, 1, (tree.n_nodes, 3))
@@ -402,7 +389,7 @@ def test_necessary_conditions_match_loops(seed):
         gamma_bar = sum(a.preference.gamma for a in s.agents)
         h_bar = gamma_bar - sum(s.dividends @ a.eta2 + a.xi_n for a in s.agents)
         z = loop_martingale_from_terminal(tree, h_bar)
-        xi, _ = loop_gkw(tree, z, s.m_fin, TOL)
+        xi, _ = loop_gkw(tree, z, s.m_fin)
         dead = [n for n in tree.nonterminal() if abs(z[n]) <= TOL]
         assert dead
         ref_xi = [(n, 0, xi[n, 0] * loop_bracket(tree, s.m_fin[:, 0], s.m_fin[:, 0])[n])
