@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .scenario import DEFAULT_TOL
-from .stoch import RCOND, is_martingale, martingale_from_terminal
+from .stoch import is_martingale, martingale_from_terminal
 from .tree import FiltrationTree
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "opportunity_process",
 ]
 
+RCOND = 1e-10
 # values of the opportunity process treated as 0
 L_CUT = RCOND**2
 
@@ -149,15 +150,17 @@ class GainsOperator:
         self._unique: dict[float, bool] = {}
 
     def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
-        """Strategies ``(m, n_nodes, d)`` from their coordinates ``x``: the
-        d-vector held at each node of ``tree.nonterminal()``, in that order,
-        for each of ``m`` strategies (a flat vector is one strategy).
-        Leaves hold 0."""
+        """Strategy ``(n_nodes, d)`` from its coordinates ``x``, the flat
+        vector of the d-vectors held at the nodes of ``tree.nonterminal()``
+        in that order; ``m`` strategies at once from ``x`` of shape ``(m,
+        n_nonterminal, d)`` give ``(m, n_nodes, d)``.  Leaves hold 0."""
         nt = self.tree.nonterminal()
-        x = np.asarray(x, dtype=float).reshape(-1, len(nt), self.prices.shape[1])
+        x = np.asarray(x, dtype=float)
+        flat = x.ndim == 1
+        x = x.reshape(-1, len(nt), self.prices.shape[1])
         theta = np.zeros((len(x), self.tree.n_nodes, x.shape[2]))
         theta[:, nt] = x
-        return theta
+        return theta[0] if flat else theta
 
     def unique_gains(self, tol: float) -> bool:
         """See :func:`uniqueness_of_gains`."""

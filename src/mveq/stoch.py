@@ -16,9 +16,6 @@ import numpy as np
 from .scenario import DEFAULT_TOL
 from .tree import FiltrationTree
 
-# singular values of local increments cut relative to their scale
-RCOND = 1e-10
-
 __all__ = [
     "cond_expect",
     "martingale_from_terminal",
@@ -84,16 +81,9 @@ def gkw_decompose(
 
     Per node, the increment of ``z`` is orthogonally projected onto the
     span of the reference increments in the conditional inner product.
-    The increments are only as exact as the values they are differences
-    of, so each column is first divided by its largest absolute value at
-    the node and its children; one stacked SVD per level of these scaled,
-    probability-weighted increments then cuts singular values at
-    ``RCOND`` (with one column, the closed form ``E[dz dm] / E[dm^2]``
-    where ``E[dm^2] > (RCOND * scale)^2``).  A reference martingale with small steps is thus hedged like
-    a scaled copy of a large one, and a direction that is rounding of the
-    values gets coefficient 0.  The integrand is the minimum-norm solution
-    in the scaled columns, a canonical representative where the increments
-    are linearly dependent.  ``tol`` bounds the drift of the inputs.
+    The integrand is computed by Gram-Schmidt in column order; directions
+    with vanishing conditional variance get coefficient 0, which picks a
+    canonical representative when the increments are linearly dependent.
     """
     z = np.asarray(z, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -109,30 +99,27 @@ def gkw_decompose(
     dz = tree.increments(z)
     dm = tree.increments(m)  # (n_nodes, d1), child-indexed
 
-    # size of the values each node's increments are differences of
-    scale = np.abs(m)
-    np.maximum.at(scale, parent, scale[1:])
-    if d1 == 1:  # one direction per node: xi = E[dz dm] / E[dm^2]
-        var = tree.child_mean(dm[:, 0] ** 2)
-        keep = var > (RCOND * scale[:, 0]) ** 2
-        xi = np.divide(tree.child_mean(dz * dm[:, 0]), var, out=np.zeros(n),
-                       where=keep)[:, None]
-    else:
-        # index n pads the child tables: probability 0, no step
-        sp = np.zeros(n + 1)
-        sp[:n] = np.sqrt(tree.cond_prob)
-        dzp = np.append(dz, 0.0)
-        dmp = np.zeros((n + 1, d1))
-        dmp[:n] = dm
-        xi = np.zeros((n, d1))
-        scale[scale == 0.0] = 1.0
-        for nodes, kids in tree.child_table() if d1 else ():
-            w = sp[kids]
-            x = w[:, :, None] * dmp[kids] / scale[nodes][:, None, :]  # (k, b, d1)
-            u, sv, vt = np.linalg.svd(x, full_matrices=False)
-            inv = (sv > RCOND) / np.where(sv > RCOND, sv, 1.0)
-            coords = inv * (u.transpose(0, 2, 1) @ (w * dzp[kids])[:, :, None])[:, :, 0]
-            xi[nodes] = (vt.transpose(0, 2, 1) @ coords[:, :, None])[:, :, 0] / scale[nodes]
+    def inner(x, y):
+        return tree.child_mean(x * y)
+
+    # Gram-Schmidt over the reference increments at every node at once,
+    # tracking how each orthogonal direction expands in the original
+    # columns; a direction only enters a node's basis where it is kept.
+    xi = np.zeros((n, d1))
+    basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for i in range(d1):
+        o = dm[:, i].copy()
+        coeffs = np.zeros((n, d1))
+        coeffs[:, i] = 1.0
+        for ob, cb, nb in basis:
+            c = np.divide(inner(dm[:, i], ob), nb, out=np.zeros(n),
+                          where=nb > tol)
+            o[1:] -= c[parent] * ob[1:]
+            coeffs -= c[:, None] * cb
+        nrm = inner(o, o)
+        basis.append((o, coeffs, nrm))
+        coef = np.divide(inner(dz, o), nrm, out=np.zeros(n), where=nrm > tol)
+        xi += coef[:, None] * coeffs
     dres = np.zeros(n)
     dres[1:] = dz[1:] - np.sum(dm[1:] * xi[parent], axis=1)
     residual = tree.accumulate(dres)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mveq import (
     cond_expect,
@@ -127,42 +127,8 @@ def test_gkw_orthogonal_z():
     np.testing.assert_allclose(dec.residual, z - z[0], atol=1e-12)
 
 
-def resolved(tree, m, low=1e-4):
-    """Whether every node's reference increments are resolved: no singular
-    value between 1e-12 and ``low`` of the weighted increments, each column
-    scaled by its largest absolute value at the node and its children (the
-    values the increments are differences of, and so their rounding).
-
-    Inside that band the absolute 1e-9 bounds below hold by chance only.
-    Kept, a direction gets an integrand of order 1/sv, which multiplies
-    the values' rounding into the residual's drift and bracket; dropped,
-    it leaves a bracket of order sv.  With ``x2`` at leaves near -1.69 that
-    differ by 5e-8 under one node, the bracket bound forces an integrand
-    near 5.8e7, which with that column's drift of 1.2e-16 gives a residual
-    drift of 6.8e-9 whatever the decomposition.  Directions below 1e-12
-    are rounding of the values and are dropped."""
-    dm = tree.increments(m)
-    for n in tree.nonterminal():
-        cs = tree.children[n]
-        scale = np.max(np.abs(m[[n, *cs]]), axis=0)
-        live = scale > 0
-        x = np.sqrt(tree.child_weights(n))[:, None] * dm[cs][:, live] / scale[live]
-        sv = np.linalg.svd(x, compute_uv=False)
-        if np.any((sv > 1e-12) & (sv < low)):
-            return False
-    return True
-
-
-ZERO = [0.0] * 8
-LEAF6 = [0.0] * 6 + [1.0, 0.0]
-
-
 @settings(max_examples=25, deadline=None)
 @given(leaf_values, leaf_values, leaf_values)
-# reference columns with small steps, dropped by an absolute variance cut
-@example(LEAF6, ZERO, [0.0] * 6 + [6.103515625e-05, 0.0])
-@example(LEAF6, [1.0, -2.0, 3.0] + [0.0] * 5, [0.0] * 6 + [1e-06, 0.0])
-@example([1.0, -1.0, 2.0, 0.0, -3.0, 0.0, 1.0, 0.0], ZERO, [0.0, 3e-08] + [0.0] * 6)
 def test_gkw_reconstruction_and_orthogonality(xz, x1, x2):
     tree = two_period_tree()
     z = martingale_from_terminal(tree, np.resize(xz, tree.n_leaves))
@@ -173,7 +139,6 @@ def test_gkw_reconstruction_and_orthogonality(xz, x1, x2):
         ]
     )
     m -= m[0]
-    assume(resolved(tree, m))
     dec = gkw_decompose(tree, z, m)
     # reconstruction at every node
     recon = dec.z0 + stoch_integral(tree, dec.xi, m) + dec.residual

@@ -133,20 +133,33 @@ def loop_bracket(tree, a, b):
     return out
 
 
-def loop_gkw(tree, z, m):
+def loop_gkw(tree, z, m, tol):
     d1 = m.shape[1]
     xi = np.zeros((tree.n_nodes, d1))
     residual = np.zeros(tree.n_nodes)
     for n in tree.nonterminal():
         cs = tree.children[n]
-        w = np.sqrt(tree.child_weights(n))
+        w = tree.child_weights(n)
         dz = z[cs] - z[n]
         dm = m[cs] - m[n]
-        scale = np.max(np.abs(m[[n, *cs]]), axis=0)
-        scale[scale == 0.0] = 1.0
-        u, sv, vt = np.linalg.svd(w[:, None] * dm / scale, full_matrices=False)
-        keep = sv > RCOND
-        xi_n = vt[keep].T @ ((u[:, keep].T @ (w * dz)) / sv[keep]) / scale
+
+        def inner(x, y):
+            return float(w @ (x * y))
+
+        xi_n = np.zeros(d1)
+        basis = []
+        for i in range(d1):
+            o = dm[:, i].copy()
+            coeffs = np.zeros(d1)
+            coeffs[i] = 1.0
+            for ob, cb in basis:
+                c = inner(dm[:, i], ob) / inner(ob, ob)
+                o -= c * ob
+                coeffs -= c * cb
+            nrm = inner(o, o)
+            if nrm > tol:
+                basis.append((o, coeffs))
+                xi_n += (inner(dz, o) / nrm) * coeffs
         xi[n] = xi_n
         residual[cs] = residual[n] + dz - dm @ xi_n
     return xi, residual
@@ -273,7 +286,7 @@ def test_gkw_and_integral_match_loops(tree):
     m = np.column_stack([m, m[:, 0] - 2.0 * m[:, 1]])  # a dependent column
     m -= m[0]
     dec = gkw_decompose(tree, z, m)
-    xi, residual = loop_gkw(tree, z, m)
+    xi, residual = loop_gkw(tree, z, m, TOL)
     assert_close(dec.xi, xi)
     assert_close(dec.residual, residual)
     theta = rng.uniform(-1, 1, (tree.n_nodes, 3))
@@ -309,8 +322,7 @@ def test_gains_operator_matches_loop_bitwise(tree):
         assert theta[n, j] == x[c]
     assert np.count_nonzero(theta) == np.count_nonzero(x)
     # the engine reads coordinates in the same order
-    np.testing.assert_array_equal(GainsOperator(tree, prices).theta_from_coords(x)[0],
-                                  theta)
+    np.testing.assert_array_equal(GainsOperator(tree, prices).theta_from_coords(x), theta)
 
 
 @pytest.mark.parametrize("tree", TREES, ids=IDS)
@@ -389,7 +401,7 @@ def test_necessary_conditions_match_loops(seed):
         gamma_bar = sum(a.preference.gamma for a in s.agents)
         h_bar = gamma_bar - sum(s.dividends @ a.eta2 + a.xi_n for a in s.agents)
         z = loop_martingale_from_terminal(tree, h_bar)
-        xi, _ = loop_gkw(tree, z, s.m_fin)
+        xi, _ = loop_gkw(tree, z, s.m_fin, TOL)
         dead = [n for n in tree.nonterminal() if abs(z[n]) <= TOL]
         assert dead
         ref_xi = [(n, 0, xi[n, 0] * loop_bracket(tree, s.m_fin[:, 0], s.m_fin[:, 0])[n])
