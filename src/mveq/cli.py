@@ -2,7 +2,8 @@
 
 ``mveq <command> --input FILE [--output FILE] [--format json|csv]
 [--tol X] [--seed N]``.  Exit codes: 0 success, 1 parse error,
-2 validation error, 3 nonexistence verdict on a solve command.
+2 validation error or failed solver precondition (such as uniqueness of
+value processes), 3 nonexistence verdict on a solve command.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import linear_mv, quadratic
 from .generate import generate_random_scenario
 from .io import ParseError, load_scenario, report_to_csv, report_to_json
-from .mvh import GainsOperator
+from .mvh import _as_operator
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, validate_scenario
 
 EXIT_OK = 0
@@ -92,7 +93,7 @@ def _all_linear(scenario: Scenario) -> bool:
 
 
 def _verify_linear(scenario: Scenario, prices, tol) -> dict:
-    op = GainsOperator(scenario.tree, prices)
+    op = _as_operator(scenario.tree, prices)
     if not op.unique_values(tol):
         return {
             "verdict": "NotEquilibrium",
@@ -130,7 +131,7 @@ def cmd_frontier(args, scenario: Scenario, prices) -> dict:
         # the solve command's report, nonexistence verdict included
         solve = cmd_solve_linear_mv if _all_linear(scenario) else cmd_solve_quadratic
         prices = np.array(solve(args, scenario, None)["prices"])
-    op = GainsOperator(scenario.tree, prices)
+    op = _as_operator(scenario.tree, prices)
     out = {"agents": []}
     fronts = linear_mv._frontiers(scenario, op, range(len(scenario.agents)), args.tol)
     for k, front in enumerate(fronts):
@@ -267,12 +268,20 @@ def main(argv=None) -> int:
             violations = validate_scenario(scenario, args.tol)
             if violations:
                 raise ValidationFailure("; ".join(violations))
-        report = COMMANDS[args.command](args, scenario, prices)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValidationFailure, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        report = COMMANDS[args.command](args, scenario, prices)
+    except ValidationFailure as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValueError as exc:
+        # a solver precondition failed on a scenario that passed validation
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NonexistenceVerdict as verdict:
         _emit(args, verdict.report, tree)

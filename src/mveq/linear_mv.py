@@ -126,7 +126,7 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     report.prices = prices
     report.trivial_regime = _is_trivial_regime(s, gamma_bar_0, tol)
 
-    op = GainsOperator(tree, prices)
+    op = _as_operator(tree, prices)
     report.ell = op.ell
     for y_k, theta, ex in _mv_strategies(s, op, range(len(s.agents)), tol):
         report.c_k.append(ex.c)

@@ -24,6 +24,12 @@ unique iff at no node does dropping the children with ``L <= tol`` lower
 the rank of the local increments.  Every sweep costs O(nodes b d^2) for
 branching ``b`` and ``d`` assets.  Functions taking ``prices`` here, in
 ``quadratic`` and in ``linear_mv`` also accept the operator of those prices.
+
+Repeated calls on the same tree object and bitwise-equal prices share one
+engine: the last one built is kept and reused, so a solve, the agents'
+frontiers and the opportunity process of its prices run the backward
+recursion once.  An engine keeps its own copy of the prices, and its
+arrays (``prices``, ``L``, ``beta``, ``y``, ``theta1``) are read-only.
 """
 
 from __future__ import annotations
@@ -84,6 +90,12 @@ class _Level(NamedTuple):
     res: np.ndarray  # (k, b) local residual w (1 - beta . dS) of the payoff 1
 
 
+def _price_matrix(prices) -> np.ndarray:
+    """``prices`` as a float array with one column per asset."""
+    prices = np.asarray(prices, dtype=float)
+    return prices[:, None] if prices.ndim == 1 else prices
+
+
 class GainsOperator:
     """Mean-variance hedging engine of one price system.
 
@@ -91,13 +103,12 @@ class GainsOperator:
     value per node), ``ell = L[0]``, ``beta`` (local pure-investment hedge
     ratios, 0 at the leaves), ``y`` (shortfall ``1 - g`` of the
     pure-investment hedge started at the root) and ``theta1 = beta * y``,
-    that hedge (read-only).
+    that hedge.  These arrays and ``prices``, the engine's own copy of the
+    prices, are read-only.
     """
 
     def __init__(self, tree: FiltrationTree, prices):
-        prices = np.asarray(prices, dtype=float)
-        if prices.ndim == 1:
-            prices = prices[:, None]
+        prices = np.array(_price_matrix(prices))  # the engine's own copy
         self.tree, self.prices = tree, prices
         n, d = prices.shape
         nt = tree.nonterminal()
@@ -146,7 +157,9 @@ class GainsOperator:
         self.beta = beta
         self.y = tree.accumulate(step[:n], 0, np.multiply)
         self.theta1 = beta * self.y[:, None]
-        self.theta1.flags.writeable = False
+        # the engine may be shared by every caller of the same price system
+        for a in (self.prices, self.L, self.beta, self.y, self.theta1):
+            a.flags.writeable = False
         self._unique: dict[float, bool] = {}
 
     def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
@@ -274,11 +287,27 @@ class GainsOperator:
         return self.hedges(h, tol, extended=True)[0]
 
 
+# the engine built last by _as_operator; one slot, so at most one engine
+# is kept alive
+_last: GainsOperator | None = None
+
+
 def _as_operator(tree: FiltrationTree, prices) -> GainsOperator:
-    """``prices`` if it is an operator already, else its operator."""
+    """``prices`` if it is an operator already, else its operator.
+
+    The engine built last is reused when ``tree`` is the same object and
+    ``prices`` has the same shape and the same bits as the engine's copy
+    (so ``-0.0`` and ``0.0``, or two NaN payloads, never share one);
+    otherwise a new engine is built and takes its place."""
+    global _last
     if isinstance(prices, GainsOperator):
         return prices
-    return GainsOperator(tree, prices)
+    prices = _price_matrix(prices)
+    op = _last  # read once: a concurrent caller can cost a rebuild, no mix-up
+    if (op is None or op.tree is not tree or op.prices.shape != prices.shape
+            or op.prices.tobytes() != prices.tobytes()):
+        op = _last = GainsOperator(tree, prices)
+    return op
 
 
 def solve_mvh(

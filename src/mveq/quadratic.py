@@ -351,7 +351,7 @@ def verify_equilibrium(
                 prices=prices,
             )
 
-    op = GainsOperator(tree, prices)
+    op = _as_operator(tree, prices)
     optima, _ = _optima(s, op, range(len(s.agents)), tol)
     strategies = []
     gaps = []

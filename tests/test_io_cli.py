@@ -196,6 +196,23 @@ def test_cli_frontier(scen_b, tmp_path, capsys):
     assert agent["c_k"] == pytest.approx(1.25)
 
 
+def test_cli_solver_precondition_is_not_a_validation_error(scen_c, tmp_path, capsys):
+    # S = 0 -> 1 on both branches: the payoff 1 is replicable from 0, so
+    # value processes are not unique and the frontiers are undefined
+    prices = np.array([[0.0], [1.0], [1.0]])
+    path = write_scenario(tmp_path / "c.json", scen_c, prices)
+    assert run_cli(["frontier", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: frontier requires uniqueness of value processes\n"
+    # a scenario that fails validation keeps its label
+    doc = emit_scenario(scen_c, prices)
+    doc["tree"]["leaf_probs"] = [0.5, 0.4]
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(doc))
+    assert run_cli(["frontier", "--input", str(invalid)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: ")
+
+
 def test_cli_random_suite(capsys):
     assert run_cli(["random-suite", "--seed", "3", "--count", "6"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -15,7 +15,8 @@ from mveq import (
     zero_solves_mvh_iff,
 )
 from mveq.generate import generate_random_scenario, random_tree
-from mveq.mvh import GainsOperator
+from mveq import mvh
+from mveq.mvh import GainsOperator, _as_operator
 from mveq.scenario import DEFAULT_TOL
 from mveq.quadratic import construct_regular, aggregate
 
@@ -372,6 +373,7 @@ def test_one_engine_per_price_system(scen_a, scen_b, tmp_path, capsys, monkeypat
     from test_io_cli import run_cli, write_scenario
 
     path = write_scenario(tmp_path / "b.json", scen_b, solve_linear_mv(scen_b).prices)
+    bare = write_scenario(tmp_path / "b_bare.json", scen_b)
     engines = count_calls(monkeypatch, GainsOperator, ["__init__"])
     linalg = count_calls(monkeypatch, np.linalg, ["lstsq"])
     rows = []
@@ -388,9 +390,12 @@ def test_one_engine_per_price_system(scen_a, scen_b, tmp_path, capsys, monkeypat
         "solve_quadratic": (scen_a, lambda: solve_quadratic(scen_a)),
         "solve_linear_mv": (scen_b, lambda: solve_linear_mv(scen_b)),
         "cli frontier": (scen_b, lambda: run_cli(["frontier", "--input", path])),
+        # the frontiers reuse the engine of the solve's report prices
+        "cli frontier, no prices": (scen_b, lambda: run_cli(["frontier", "--input", bare])),
         "solve_quadratic, two assets": (two, lambda: solve_quadratic(two)),
     }
     for name, (s, run) in runs.items():
+        monkeypatch.setattr(mvh, "_last", None)
         engines.update(__init__=0)
         linalg.update(lstsq=0)
         rows.clear()
@@ -410,11 +415,101 @@ def test_one_hedge_sweep_per_solve(monkeypatch):
     for kind, solve in (("linear_mv", solve_linear_mv), ("quadratic", solve_quadratic)):
         s = generate_random_scenario(5, horizon=3, branching=3, d1=0, d2=2,
                                      n_agents=3, preference_kind=kind)
+        monkeypatch.setattr(mvh, "_last", None)
         sweeps.update(__init__=0, _backward=0, _forward=0)
         solve(s)
         assert sweeps == {"__init__": 1, "_backward": 1, "_forward": 1}, kind
     # the opportunity process needs no forward sweep
     tree, prices, s = random_market(41)
+    monkeypatch.setattr(mvh, "_last", None)
     sweeps.update(__init__=0, _backward=0, _forward=0)
     opportunity_process(tree, prices, aggregate(s).h_bar)
     assert sweeps == {"__init__": 1, "_backward": 1, "_forward": 0}
+
+
+def bits(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def frontier_session(s, before):
+    """What a caller of the linear mean-variance layer runs on one price
+    system: the solve, every agent's frontier and the opportunity process
+    of the report's prices; ``before`` runs ahead of each call."""
+    from mveq.linear_mv import agent_frontier, solve_linear_mv
+    from mveq.scenario import aggregate_endowment
+
+    before()
+    r = solve_linear_mv(s)
+    out = [r.prices, r.ell, r.c_k, r.eps2_k, r.y_k, *r.strategies,
+           r.fp_residual, r.identity_residual, r.clearing_residual]
+    for k in range(len(s.agents)):
+        before()
+        f = agent_frontier(s, r.prices, k)
+        out.append((f.ell, f.c_k, f.eps2_k))
+    before()
+    opp = opportunity_process(s.tree, r.prices, r.gamma_bar - aggregate_endowment(s))
+    return out + [opp.L, opp.v_bar, opp.theta0, opp.m0]
+
+
+def test_engine_shared_across_solve_frontiers_and_opportunity(monkeypatch):
+    s = generate_random_scenario(0, horizon=3, branching=3, d1=1, d2=1,
+                                 n_agents=3, preference_kind="linear_mv")
+    engines = count_calls(monkeypatch, GainsOperator, ["__init__"])
+    cold = frontier_session(s, lambda: monkeypatch.setattr(mvh, "_last", None))
+    assert engines["__init__"] == 5
+    monkeypatch.setattr(mvh, "_last", None)
+    engines.update(__init__=0)
+    warm = frontier_session(s, lambda: None)
+    assert engines == {"__init__": 1}
+    assert bits(warm) == bits(cold)
+
+
+def test_engine_rebuilt_for_other_price_systems(monkeypatch):
+    tree, prices, s = random_market(41)
+    prices[2, 0] = 0.0
+    h = aggregate(s).h_bar
+    twin = FiltrationTree(tree.children, tree.leaf_probs)
+    ulp = prices.copy()
+    ulp[5, 1] = np.nextafter(ulp[5, 1], np.inf)
+    neg = prices.copy()
+    neg[2, 0] = -0.0
+    engines = count_calls(monkeypatch, GainsOperator, ["__init__"])
+
+    def opp_bits(t, p):
+        opp = opportunity_process(t, p, h)
+        return bits([opp.L, opp.v_bar, opp.theta0, opp.m0])
+
+    for name, t, p in (("equal tree", twin, prices), ("one ulp", tree, ulp),
+                       ("-0.0", tree, neg)):
+        monkeypatch.setattr(mvh, "_last", None)
+        cold = opp_bits(t, p)
+        opportunity_process(tree, prices, h)
+        engines.update(__init__=0)
+        assert opp_bits(t, p) == cold, name
+        assert engines == {"__init__": 1}, name
+
+    # the caller's array changed in place after its engine was built
+    own = prices.copy()
+    moved = own.copy()
+    moved[5, 1] += 0.25
+    monkeypatch.setattr(mvh, "_last", None)
+    cold = opp_bits(tree, moved)
+    opportunity_process(tree, own, h)
+    own[5, 1] += 0.25
+    engines.update(__init__=0)
+    assert opp_bits(tree, own) == cold
+    assert engines == {"__init__": 1}
+
+
+def test_engine_arrays_read_only():
+    tree, prices, s = random_market(41)
+    op = _as_operator(tree, prices)
+    opp = opportunity_process(tree, prices, aggregate(s).h_bar)
+    assert opp.L is op.L
+    for a in (op.L, op.prices, op.beta, op.y, op.theta1, opp.L):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # the engine holds its own copy of the prices
+    before = bits([op.prices])
+    prices[0] += 1.0
+    assert bits([op.prices]) == before
