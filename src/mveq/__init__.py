@@ -19,10 +19,8 @@ from .scenario import (
     validate_scenario,
 )
 from .stoch import (
-    GkwDecomposition,
     cond_expect,
     delta_bracket,
-    gkw_decompose,
     is_martingale,
     martingale_from_terminal,
     restarted_exponential,
@@ -30,9 +28,11 @@ from .stoch import (
 )
 from .mvh import (
     GainsOperator,
+    GkwDecomposition,
     MvhSolution,
     OpportunityProcess,
     c_of_H_formula,
+    gkw_decompose,
     opportunity_process,
     pure_investment,
     solve_exmvh,
@@ -83,18 +83,18 @@ __all__ = [
     "aggregate_endowment",
     "total_endowment",
     "validate_scenario",
-    "GkwDecomposition",
     "cond_expect",
     "delta_bracket",
-    "gkw_decompose",
     "is_martingale",
     "martingale_from_terminal",
     "restarted_exponential",
     "stoch_integral",
     "GainsOperator",
+    "GkwDecomposition",
     "MvhSolution",
     "OpportunityProcess",
     "c_of_H_formula",
+    "gkw_decompose",
     "opportunity_process",
     "pure_investment",
     "solve_exmvh",

@@ -21,7 +21,7 @@ from .quadratic import (
     construct_prices,
 )
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, aggregate_endowment, total_endowment
-from .stoch import martingale_from_terminal, stoch_integral
+from .stoch import _bracket, martingale_from_terminal, stoch_integral
 
 __all__ = [
     "FrontierData",
@@ -104,8 +104,7 @@ def _is_trivial_regime(s: Scenario, gamma_bar_0: float, tol: float) -> bool:
     mart = np.column_stack(
         [s.m_fin] + [martingale_from_terminal(tree, d) for d in s.dividends.T]
     )
-    bracket = tree.child_mean(tree.increments(mart) * tree.increments(z0)[:, None])
-    return not np.any(np.abs(bracket) > tol)
+    return not np.any(np.abs(_bracket(tree, mart, z0[:, None])) > tol)
 
 
 def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumReport:

@@ -30,6 +30,11 @@ engine: the last one built is kept and reused, so a solve, the agents'
 frontiers and the opportunity process of its prices run the backward
 recursion once.  An engine keeps its own copy of the prices, and its
 arrays (``prices``, ``L``, ``beta``, ``y``, ``theta1``) are read-only.
+
+The Galtchouk-Kunita-Watanabe decomposition of a martingale against
+reference martingales is the hedge with those martingales as prices:
+there ``beta`` is 0 and ``L`` is 1, so ``xi`` is the least-norm integrand
+of the local projection (Schweizer 1995; Cerny and Kallsen 2007).
 """
 
 from __future__ import annotations
@@ -40,11 +45,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .scenario import DEFAULT_TOL
-from .stoch import is_martingale, martingale_from_terminal
+from .stoch import (
+    _check_martingale,
+    is_martingale,
+    martingale_from_terminal,
+    stoch_integral,
+)
 from .tree import FiltrationTree
 
 __all__ = [
     "GainsOperator",
+    "GkwDecomposition",
     "MvhSolution",
     "OpportunityProcess",
     "solve_mvh",
@@ -55,6 +66,7 @@ __all__ = [
     "uniqueness_of_values",
     "zero_solves_mvh_iff",
     "opportunity_process",
+    "gkw_decompose",
 ]
 
 RCOND = 1e-10
@@ -416,3 +428,29 @@ def opportunity_process(
         )
     v_bar, _ = op.values(h_bar)
     return OpportunityProcess(L=op.L, v_bar=v_bar[:, 0], theta0=op.theta1, m0=op.L * op.y)
+
+
+@dataclass(frozen=True)
+class GkwDecomposition:
+    """z = z0 + (xi . m) + residual with residual strongly orthogonal to
+    every reference martingale."""
+
+    xi: np.ndarray  # (n_nodes, d1), meaningful at non-terminal nodes
+    residual: np.ndarray  # (n_nodes,), martingale null at the root
+    z0: float
+
+
+def gkw_decompose(
+    tree: FiltrationTree, z, m, tol: float = DEFAULT_TOL
+) -> GkwDecomposition:
+    """Orthogonal decomposition of the martingale ``z`` against the columns
+    of ``m`` (shape ``(n_nodes, d1)``): the hedge of ``z``'s terminal value
+    on the engine of ``m``.  Where the increments of ``m`` are linearly
+    dependent, ``xi`` is the least-norm integrand."""
+    z = np.asarray(z, dtype=float)
+    m = _price_matrix(m)
+    _check_martingale(tree, z, tol, "z")
+    for j in range(m.shape[1]):
+        _check_martingale(tree, m[:, j], tol, f"m[{j}]")
+    xi = _as_operator(tree, m).hedge(z[tree.leaves], tol).theta
+    return GkwDecomposition(xi, z - z[0] - stoch_integral(tree, xi, m), float(z[0]))

@@ -23,7 +23,8 @@ from .scenario import (
     total_endowment,
 )
 from .stoch import (
-    gkw_decompose,
+    _bracket,
+    _check_martingale,
     is_martingale,
     martingale_from_terminal,
     restarted_exponential,
@@ -95,17 +96,15 @@ def aggregate(s: Scenario) -> AggregateState:
     )
 
 
-def _financial_prices(tree, s0_fin, m_fin, z_bar, xi, tol, degenerate):
-    """Martingale part plus the equilibrium drift.  In the degenerate
-    variant the drift increment is switched off wherever the density
-    vanishes."""
+def _financial_prices(tree, s0_fin, m_fin, z_bar, tol, degenerate):
+    """Martingale part plus the equilibrium drift -d<Z, M> / Z.  In the
+    degenerate variant the drift increment is switched off wherever the
+    density vanishes."""
     alive = np.abs(z_bar) > tol
     if not degenerate and not np.all(alive[tree.nonterminal()]):
         raise ValueError("density process vanishes; use the degenerate construction")
-    dm = tree.increments(m_fin)
-    bracket = tree.child_mean(dm[:, :, None] * dm[:, None, :])  # E[dM_i dM_j | n]
     da = np.zeros_like(m_fin)
-    np.divide(-np.einsum("ni,nij->nj", xi, bracket), z_bar[:, None], out=da,
+    np.divide(-_bracket(tree, z_bar[:, None], m_fin), z_bar[:, None], out=da,
               where=alive[:, None])
     a = np.zeros_like(m_fin)
     a[1:] = da[tree.parent[1:]]
@@ -150,10 +149,11 @@ def construct_prices(
     d1 = m_fin.shape[1]
     blocks = []
     if d1 > 0:
-        gkw = gkw_decompose(tree, z_bar, m_fin, tol)
+        for j in range(d1):
+            _check_martingale(tree, m_fin[:, j], tol, f"m[{j}]")
         blocks.append(
             _financial_prices(
-                tree, np.asarray(s0_fin, float), m_fin, z_bar, gkw.xi, tol, degenerate
+                tree, np.asarray(s0_fin, float), m_fin, z_bar, tol, degenerate
             )
         )
     dividends = np.asarray(dividends, dtype=float).reshape(tree.n_leaves, -1)
@@ -192,9 +192,10 @@ def check_necessary_conditions(s: Scenario, tol: float = DEFAULT_TOL) -> dict:
     dead[tree.leaves] = False
 
     if s.d1 > 0:
-        gkw = gkw_decompose(tree, agg.z_bar, s.m_fin, tol)
-        dm = tree.increments(s.m_fin)
-        val = gkw.xi * tree.child_mean(dm * dm)
+        for j in range(s.d1):
+            _check_martingale(tree, s.m_fin[:, j], tol, f"m[{j}]")
+        # d<Z, M_i> = (xi^T d<M>)_i with xi the GKW integrand of Z on M
+        val = _bracket(tree, agg.z_bar[:, None], s.m_fin)
         for n, i in np.argwhere(dead[:, None] & (np.abs(val) > tol)):
             cond_xi.append((int(n), int(i), float(val[n, i])))
 

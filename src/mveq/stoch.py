@@ -1,15 +1,13 @@
 """Martingale calculus on filtration trees.
 
-Conditional expectations, predictable brackets, the orthogonal
-(Galtchouk-Kunita-Watanabe style) decomposition of a martingale against a
-family of reference martingales, discrete stochastic integrals and
-restarted stochastic exponentials.  All functions are pure and operate on
-the array conventions documented in :mod:`mveq.tree`.
+Conditional expectations, predictable brackets, discrete stochastic
+integrals and restarted stochastic exponentials.  All functions are pure
+and operate on the array conventions documented in :mod:`mveq.tree`.  The
+Galtchouk-Kunita-Watanabe decomposition is the hedging engine's and lives
+in :mod:`mveq.mvh`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +18,6 @@ __all__ = [
     "cond_expect",
     "martingale_from_terminal",
     "delta_bracket",
-    "gkw_decompose",
-    "GkwDecomposition",
     "stoch_integral",
     "restarted_exponential",
     "is_martingale",
@@ -50,6 +46,12 @@ def _check_martingale(tree, x, tol, name):
         raise ValueError(f"{name} is not a martingale (max drift {res!r})")
 
 
+def _bracket(tree: FiltrationTree, a, b) -> np.ndarray:
+    """E[da db | F_n] at every node, 0 at the leaves; ``a`` and ``b``
+    broadcast against each other like their increments."""
+    return tree.child_mean(tree.increments(a) * tree.increments(b))
+
+
 def delta_bracket(
     tree: FiltrationTree, a, b, t: int, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
@@ -59,71 +61,7 @@ def delta_bracket(
         raise ValueError(f"time {t} outside 1..{tree.horizon}")
     _check_martingale(tree, a, tol, "first input")
     _check_martingale(tree, b, tol, "second input")
-    bracket = tree.child_mean(tree.increments(a) * tree.increments(b))
-    return bracket[tree.nodes_at[t - 1]]
-
-
-@dataclass(frozen=True)
-class GkwDecomposition:
-    """z = z0 + (xi . m) + residual with residual strongly orthogonal to
-    every reference martingale."""
-
-    xi: np.ndarray  # (n_nodes, d1), meaningful at non-terminal nodes
-    residual: np.ndarray  # (n_nodes,), martingale null at the root
-    z0: float
-
-
-def gkw_decompose(
-    tree: FiltrationTree, z, m, tol: float = DEFAULT_TOL
-) -> GkwDecomposition:
-    """Orthogonal decomposition of the martingale ``z`` against the columns
-    of ``m`` (shape ``(n_nodes, d1)``).
-
-    Per node, the increment of ``z`` is orthogonally projected onto the
-    span of the reference increments in the conditional inner product.
-    The integrand is computed by Gram-Schmidt in column order; directions
-    with vanishing conditional variance get coefficient 0, which picks a
-    canonical representative when the increments are linearly dependent.
-    """
-    z = np.asarray(z, dtype=float)
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    d1 = m.shape[1]
-    _check_martingale(tree, z, tol, "z")
-    for j in range(d1):
-        _check_martingale(tree, m[:, j], tol, f"m[{j}]")
-
-    n = tree.n_nodes
-    parent = tree.parent[1:]
-    dz = tree.increments(z)
-    dm = tree.increments(m)  # (n_nodes, d1), child-indexed
-
-    def inner(x, y):
-        return tree.child_mean(x * y)
-
-    # Gram-Schmidt over the reference increments at every node at once,
-    # tracking how each orthogonal direction expands in the original
-    # columns; a direction only enters a node's basis where it is kept.
-    xi = np.zeros((n, d1))
-    basis: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for i in range(d1):
-        o = dm[:, i].copy()
-        coeffs = np.zeros((n, d1))
-        coeffs[:, i] = 1.0
-        for ob, cb, nb in basis:
-            c = np.divide(inner(dm[:, i], ob), nb, out=np.zeros(n),
-                          where=nb > tol)
-            o[1:] -= c[parent] * ob[1:]
-            coeffs -= c[:, None] * cb
-        nrm = inner(o, o)
-        basis.append((o, coeffs, nrm))
-        coef = np.divide(inner(dz, o), nrm, out=np.zeros(n), where=nrm > tol)
-        xi += coef[:, None] * coeffs
-    dres = np.zeros(n)
-    dres[1:] = dz[1:] - np.sum(dm[1:] * xi[parent], axis=1)
-    residual = tree.accumulate(dres)
-    return GkwDecomposition(xi=xi, residual=residual, z0=float(z[0]))
+    return _bracket(tree, a, b)[tree.nodes_at[t - 1]]
 
 
 def stoch_integral(tree: FiltrationTree, theta, s) -> np.ndarray:

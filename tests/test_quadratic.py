@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mveq import (
+    DEFAULT_TOL,
     AgentSpec,
+    LinearMV,
     Quadratic,
     Scenario,
     aggregate,
@@ -12,9 +14,11 @@ from mveq import (
     individual_optimal,
     is_martingale,
     representative_check,
+    solve_linear_mv,
     solve_quadratic,
     verify_equilibrium,
 )
+from mveq import generate
 from mveq.quadratic import NonexistenceError, restart_martingale_failures
 from mveq.generate import generate_random_scenario
 
@@ -66,6 +70,16 @@ def test_construct_regular_deterministic_endowment(coin_tree):
     )
     prices = construct_regular(s)
     assert prices[0, 0] == pytest.approx(1.5)  # martingale price E[D]
+
+
+def test_solve_rejects_a_financial_part_that_is_not_a_martingale(scen_d):
+    m = scen_d.m_fin.copy()
+    m[scen_d.tree.leaves[0], 0] += 0.3
+    bad = Scenario(tree=scen_d.tree, d1=1, d2=0, s0_fin=scen_d.s0_fin, m_fin=m,
+                   dividends=scen_d.dividends, agents=scen_d.agents)
+    for call in (solve_quadratic, check_necessary_conditions):
+        with pytest.raises(ValueError, match=r"m\[0\] is not a martingale"):
+            call(bad)
 
 
 def test_construct_regular_requires_nonvanishing_density(scen_c):
@@ -215,8 +229,8 @@ def test_zs_martingale_on_constructed_equilibria():
 
 def test_drift_independent_of_integrand_representative(coin_tree):
     # two financial assets with collinear increments: the hedge integrand is
-    # non-unique, but the constructed drift must not depend on the choice;
-    # swapping the column order changes the Gram-Schmidt representative
+    # non-unique, but the constructed drift must not depend on the choice
+    # or on the column order
     tree = coin_tree
     m = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, -2.0]])
     div = np.zeros((2, 0))
@@ -230,3 +244,48 @@ def test_drift_independent_of_integrand_representative(coin_tree):
         return construct_regular(s)[:, np.argsort(order)]
 
     np.testing.assert_allclose(build([0, 1]), build([1, 0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, shape", [
+    (2, dict(horizon=7, branching=3, d1=1, d2=1, n_agents=2)),  # 1,134 nodes
+    (3, dict(horizon=9, branching=4, d1=1, d2=1, n_agents=3)),  # 29,079 nodes
+], ids=["h7-seed2", "h9-seed3"])
+def test_small_financial_variance_is_priced(seed, shape, monkeypatch):
+    # both markets have nodes where the financial asset's conditional
+    # variance lies below DEFAULT_TOL; the drift must still clear there
+    monkeypatch.setattr(generate, "MAX_HORIZON", shape["horizon"])
+    report = solve_quadratic(generate_random_scenario(seed, **shape))
+    assert report.verdict == "Equilibrium"
+    assert report.clearing_residual <= DEFAULT_TOL
+
+
+def in_money_unit(s: Scenario, k: float) -> Scenario:
+    """The market ``s`` with every amount of money multiplied by ``k``."""
+    def pref(p):
+        return Quadratic(k * p.gamma) if isinstance(p, Quadratic) else LinearMV(k * p.lam)
+
+    return Scenario(
+        tree=s.tree, d1=s.d1, d2=s.d2, s0_fin=k * s.s0_fin, m_fin=k * s.m_fin,
+        dividends=k * s.dividends,
+        agents=[AgentSpec(a.eta2, k * a.xi_n, pref(a.preference)) for a in s.agents],
+    )
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear_mv"])
+def test_small_money_unit_keeps_outcome(kind):
+    k = 1e-6
+    for seed in range(40):
+        s = generate_random_scenario(seed, horizon=3, branching=3, d1=1, d2=1,
+                                     n_agents=2, preference_kind=kind)
+        if kind == "quadratic":
+            a, b = solve_quadratic(s), solve_quadratic(in_money_unit(s, k))
+            assert b.verdict == a.verdict
+        else:
+            a, b = solve_linear_mv(s), solve_linear_mv(in_money_unit(s, k))
+            assert b.exists == a.exists
+            if a.exists:
+                assert (b.clearing_residual <= DEFAULT_TOL) == (
+                    a.clearing_residual <= DEFAULT_TOL)
+        if a.prices is not None:
+            np.testing.assert_allclose(b.prices / k, a.prices, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(a.prices)))

@@ -205,7 +205,7 @@ def loop_gains_paths(tree, prices):
     return cols, paths
 
 
-def loop_financial_prices(tree, s0_fin, m_fin, z_bar, xi, tol):
+def loop_financial_prices(tree, s0_fin, m_fin, z_bar, tol):
     d1 = m_fin.shape[1]
     a = np.zeros((tree.n_nodes, d1))
     for n in tree.nonterminal():
@@ -214,10 +214,8 @@ def loop_financial_prices(tree, s0_fin, m_fin, z_bar, xi, tol):
         for j in range(d1):
             da = 0.0
             if abs(z_bar[n]) > tol:
-                dbr = np.array([w @ ((m_fin[cs, i] - m_fin[n, i])
-                                     * (m_fin[cs, j] - m_fin[n, j]))
-                                for i in range(d1)])
-                da = -(xi[n] @ dbr) / z_bar[n]
+                dzm = (z_bar[cs] - z_bar[n]) * (m_fin[cs, j] - m_fin[n, j])
+                da = -(w @ dzm) / z_bar[n]
             a[cs, j] = a[n, j] + da
     return s0_fin + m_fin + a
 
@@ -287,8 +285,15 @@ def test_gkw_and_integral_match_loops(tree):
     m -= m[0]
     dec = gkw_decompose(tree, z, m)
     xi, residual = loop_gkw(tree, z, m, TOL)
-    assert_close(dec.xi, xi)
+    # the dependent column leaves xi non-unique; its gains path is unique
+    assert_close(stoch_integral(tree, dec.xi, m), stoch_integral(tree, xi, m))
     assert_close(dec.residual, residual)
+    # where every column is kept, xi^T d<M> is the bracket d<Z, M>
+    xi, _ = loop_gkw(tree, z, m[:, :2], TOL)
+    d_m = [[loop_bracket(tree, m[:, i], m[:, j]) for j in range(2)] for i in range(2)]
+    for j in range(2):
+        assert_close(xi[:, 0] * d_m[0][j] + xi[:, 1] * d_m[1][j],
+                     loop_bracket(tree, z, m[:, j]))
     theta = rng.uniform(-1, 1, (tree.n_nodes, 3))
     assert_close(stoch_integral(tree, theta, m), loop_stoch_integral(tree, theta, m))
 
@@ -362,10 +367,9 @@ def test_price_constructions_match_loops(tree):
     z = loop_martingale_from_terminal(tree, h)
     m = np.column_stack([martingale(tree, rng) for _ in range(2)])
     m -= m[0]
-    xi = rng.uniform(-1, 1, (tree.n_nodes, 2))
     s0 = np.array([1.0, 2.0])
-    assert_close(_financial_prices(tree, s0, m, z, xi, TOL, True),
-                 loop_financial_prices(tree, s0, m, z, xi, TOL))
+    assert_close(_financial_prices(tree, s0, m, z, TOL, True),
+                 loop_financial_prices(tree, s0, m, z, TOL))
     div = rng.uniform(0, 3, (tree.n_leaves, 2))
     assert_close(_productive_prices_degenerate(tree, div, z, TOL),
                  loop_productive_degenerate(tree, div, z, TOL))
@@ -392,21 +396,29 @@ def degenerate_scenario(seed, d1):
                     dividends=s.dividends, agents=agents)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_necessary_conditions_match_loops(seed):
-    s = degenerate_scenario(seed, 1)
+@pytest.mark.parametrize(
+    "seed, d1", [(seed, d1) for d1 in (1, 2) for seed in range(4)],
+    ids=[*map(str, range(4)), *(f"two-assets-{seed}" for seed in range(4))])
+def test_necessary_conditions_match_loops(seed, d1):
+    s = degenerate_scenario(seed, d1)
     for s in (s, relabel_scenario(s)[0]):
         tree = s.tree
         cond = check_necessary_conditions(s)
         gamma_bar = sum(a.preference.gamma for a in s.agents)
         h_bar = gamma_bar - sum(s.dividends @ a.eta2 + a.xi_n for a in s.agents)
         z = loop_martingale_from_terminal(tree, h_bar)
-        xi, _ = loop_gkw(tree, z, s.m_fin, TOL)
         dead = [n for n in tree.nonterminal() if abs(z[n]) <= TOL]
         assert dead
-        ref_xi = [(n, 0, xi[n, 0] * loop_bracket(tree, s.m_fin[:, 0], s.m_fin[:, 0])[n])
-                  for n in dead]
+        # the value is the bracket E_n[dZ dM_i]
+        brackets = [loop_bracket(tree, z, s.m_fin[:, i]) for i in range(d1)]
+        ref_xi = [(n, i, brackets[i][n]) for n in dead for i in range(d1)]
         ref_xi = [r for r in ref_xi if abs(r[2]) > TOL]
+        assert ref_xi
+        if d1 == 1:  # with one asset it is xi d<M>, xi from the Gram-Schmidt loop
+            xi, _ = loop_gkw(tree, z, s.m_fin, TOL)
+            d_m = loop_bracket(tree, s.m_fin[:, 0], s.m_fin[:, 0])
+            assert_close([xi[n, 0] * d_m[n] for n, _, _ in ref_xi],
+                         [r[2] for r in ref_xi])
         num = loop_martingale_from_terminal(tree, h_bar * s.dividends[:, 0])
         ref_g = [(n, 0, num[n]) for n in dead if abs(num[n]) > TOL]
         for got, ref in ((cond["cond_xi_failures"], ref_xi),
