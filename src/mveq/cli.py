@@ -133,7 +133,7 @@ def cmd_frontier(args, scenario: Scenario, prices) -> dict:
         prices = np.array(solve(args, scenario, None)["prices"])
     op = _as_operator(scenario.tree, prices)
     out = {"agents": []}
-    fronts = linear_mv._frontiers(scenario, op, range(len(scenario.agents)), args.tol)
+    fronts = linear_mv._frontiers(scenario, op, args.tol)
     for k, front in enumerate(fronts):
         if isinstance(scenario.agents[k].preference, LinearMV):
             y_opt = scenario.agents[k].preference.lam / front.ell

@@ -16,12 +16,15 @@ import numpy as np
 from .mvh import GainsOperator, _as_operator
 from .quadratic import (
     _constant_strategy,
+    _density_martingales,
     _full_eta,
+    _gains,
     clearing_residual,
     construct_prices,
 )
 from .scenario import DEFAULT_TOL, LinearMV, Scenario, aggregate_endowment, total_endowment
-from .stoch import _bracket, martingale_from_terminal, stoch_integral
+from .stoch import _bracket
+from .tree import FiltrationTree
 
 __all__ = [
     "FrontierData",
@@ -81,12 +84,13 @@ def _lambdas(s: Scenario) -> list[float]:
 
 
 def gamma_bar_fixed_point(
-    s: Scenario, tol: float = DEFAULT_TOL
+    s: Scenario, tol: float = DEFAULT_TOL, xi_bar=None
 ) -> tuple[float, float, bool]:
     """Aggregate risk tolerance of the candidate equilibrium, the essential
-    supremum of the aggregate endowment, and the existence flag."""
+    supremum of the aggregate endowment, and the existence flag.
+    ``xi_bar`` is the aggregate endowment of ``s`` if the caller has it."""
     lams = _lambdas(s)
-    xi_bar = aggregate_endowment(s)
+    xi_bar = aggregate_endowment(s) if xi_bar is None else xi_bar
     if np.min(xi_bar) < -tol:
         raise ValueError("aggregate endowment must be nonnegative")
     mean_xi = float(s.tree.leaf_probs @ xi_bar)
@@ -95,21 +99,26 @@ def gamma_bar_fixed_point(
     return gamma_bar, gamma_bar_0, gamma_bar > gamma_bar_0 + tol
 
 
-def _is_trivial_regime(s: Scenario, gamma_bar_0: float, tol: float) -> bool:
-    """All asset martingales strongly orthogonal to the density at the
-    boundary tolerance level: prices are martingales for every choice of
-    risk tolerances."""
-    tree = s.tree
-    z0 = martingale_from_terminal(tree, gamma_bar_0 - aggregate_endowment(s))
-    mart = np.column_stack(
-        [s.m_fin] + [martingale_from_terminal(tree, d) for d in s.dividends.T]
-    )
-    return not np.any(np.abs(_bracket(tree, mart, z0[:, None])) > tol)
+def _is_trivial_regime(tree: FiltrationTree, mart, z0, z0_scale: float, tol: float) -> bool:
+    """All asset martingales ``mart`` (one column each: the financial
+    martingale parts, then the martingales closed by the dividends)
+    strongly orthogonal to the density ``z0`` at the boundary tolerance
+    level: prices are martingales for every choice of risk tolerances.
+
+    Each bracket ``E_n[dM dZ0]`` is compared with ``tol max|M| z0_scale``,
+    where ``z0_scale`` is the size of the payoff terms closing ``z0``
+    (``gamma_bar_0`` and the aggregate endowment).  Both factors are
+    levels, not increments, so the decision does not depend on the money
+    unit, and an ``M`` or ``z0`` that is constant up to round-off counts
+    as orthogonal."""
+    scale = tol * np.max(np.abs(mart), axis=0) * z0_scale
+    return not np.any(np.abs(_bracket(tree, mart, np.asarray(z0)[:, None])) > scale)
 
 
 def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumReport:
     """Construct and cross-check the linear mean-variance equilibrium."""
-    gamma_bar, gamma_bar_0, exists = gamma_bar_fixed_point(s, tol)
+    xi_bar = aggregate_endowment(s)
+    gamma_bar, gamma_bar_0, exists = gamma_bar_fixed_point(s, tol, xi_bar)
     report = MvEquilibriumReport(
         gamma_bar=gamma_bar, gamma_bar_0=gamma_bar_0, exists=exists
     )
@@ -117,13 +126,17 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
         return report
 
     tree = s.tree
-    xi_bar = aggregate_endowment(s)
     h_bar = gamma_bar - xi_bar
-    prices = construct_prices(
-        tree, s.s0_fin, s.m_fin, s.dividends, h_bar, tol, degenerate=False
-    )
+    # the density, the productive numerators, the density at the boundary
+    # level and the dividend martingales, from one sweep
+    z_bar, num, more = _density_martingales(tree, h_bar, s.dividends,
+                                            gamma_bar_0 - xi_bar, s.dividends)
+    prices = construct_prices(tree, s.s0_fin, s.m_fin, s.dividends, h_bar, tol,
+                              False, z_bar, num)
     report.prices = prices
-    report.trivial_regime = _is_trivial_regime(s, gamma_bar_0, tol)
+    report.trivial_regime = _is_trivial_regime(
+        tree, np.column_stack([s.m_fin, more[:, 1:]]), more[:, 0],
+        max(abs(gamma_bar_0), float(np.max(np.abs(xi_bar)))), tol)
 
     op = _as_operator(tree, prices)
     report.ell = op.ell
@@ -133,7 +146,7 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
         report.y_k.append(y_k)
         report.strategies.append(theta)
 
-    fp = verify_fixed_point(s, op, gamma_bar, tol)
+    fp = verify_fixed_point(s, op, gamma_bar, tol, xi_bar)
     report.fp_residual = fp["fp_residual"]
     report.identity_residual = fp["identity_residual"]
     report.clearing_residual = clearing_residual(s, prices, report.strategies)
@@ -149,17 +162,18 @@ def agent_frontier(
     s: Scenario, prices, k: int, tol: float = DEFAULT_TOL
 ) -> FrontierData:
     """Closed-form efficient frontier of agent ``k`` under the given
-    prices; requires uniqueness of value processes."""
-    return _frontiers(s, _as_operator(s.tree, prices), [k], tol)[0]
+    prices; requires uniqueness of value processes.  Read off the sweep
+    of every agent's endowment, the one the solve's hedge ran."""
+    return _frontiers(s, _as_operator(s.tree, prices), tol)[k]
 
 
-def _frontiers(s: Scenario, op: GainsOperator, ks, tol: float) -> list[FrontierData]:
-    """:func:`agent_frontier` of the agents ``ks`` from one backward sweep:
+def _frontiers(s: Scenario, op: GainsOperator, tol: float) -> list[FrontierData]:
+    """:func:`agent_frontier` of every agent from one backward sweep:
     ``c_k`` is the mean value of the endowment at the root, ``eps2_k`` its
     squared error around it."""
     if not op.unique_values(tol):
         raise ValueError("frontier requires uniqueness of value processes")
-    v_bar, eps2 = op.values(_endowments(s, ks))
+    v_bar, eps2 = op.values(_endowments(s, range(len(s.agents))))
     return [FrontierData(ell=op.ell, c_k=float(c), eps2_k=float(e))
             for c, e in zip(v_bar[0], eps2)]
 
@@ -199,9 +213,9 @@ def mv_efficiency_check(
         raise ValueError("efficiency check requires uniqueness of value processes")
     ex = op.hedge_ex(total_endowment(s, k), tol)
 
-    centred = theta - _constant_strategy(tree, _full_eta(s, k)) + ex.theta
-    g_centred = stoch_integral(tree, centred, op.prices)
-    g_one = stoch_integral(tree, op.theta1, op.prices)
+    net = theta - _constant_strategy(tree, _full_eta(s, k))
+    gains = _gains(tree, [net + ex.theta, op.theta1, net], op.prices)
+    g_centred, g_one = gains[:, 0], gains[:, 1]
     denom = float(tree.leaf_probs @ g_one[tree.leaves] ** 2)
     if denom <= tol:
         y = 0.0
@@ -214,8 +228,7 @@ def mv_efficiency_check(
         return False
 
     front = FrontierData(ell=op.ell, c_k=ex.c, eps2_k=ex.sq_error)
-    net = theta - _constant_strategy(tree, _full_eta(s, k))
-    v = stoch_integral(tree, net, op.prices)[tree.leaves] + total_endowment(s, k)
+    v = gains[tree.leaves, 2] + total_endowment(s, k)
     mean_v = float(tree.leaf_probs @ v)
     var_v = float(tree.leaf_probs @ (v - mean_v) ** 2)
     return (
@@ -225,11 +238,13 @@ def mv_efficiency_check(
 
 
 def verify_fixed_point(
-    s: Scenario, prices, gamma_bar: float, tol: float = DEFAULT_TOL
+    s: Scenario, prices, gamma_bar: float, tol: float = DEFAULT_TOL, xi_bar=None
 ) -> dict:
     """Residuals of the fixed-point equation and of the structural
     identity linking the pure-investment error, the aggregate hedging
-    constants and the mean aggregate endowment; needs unique value processes."""
+    constants and the mean aggregate endowment; needs unique value
+    processes.  ``xi_bar`` is the aggregate endowment of ``s`` if the
+    caller has it."""
     tree = s.tree
     op = _as_operator(tree, prices)
     if not op.unique_values(tol):
@@ -237,6 +252,7 @@ def verify_fixed_point(
     lams = _lambdas(s)
     cs = op.constants(_endowments(s, range(len(s.agents))))
     fp = abs(gamma_bar - sum(c + lam / op.ell for c, lam in zip(cs, lams)))
-    mean_xi = float(tree.leaf_probs @ aggregate_endowment(s))
+    xi_bar = aggregate_endowment(s) if xi_bar is None else xi_bar
+    mean_xi = float(tree.leaf_probs @ xi_bar)
     ident = abs((gamma_bar - mean_xi) - (gamma_bar - sum(cs)) * op.ell)
     return {"fp_residual": float(fp), "identity_residual": float(ident)}

@@ -31,6 +31,15 @@ frontiers and the opportunity process of its prices run the backward
 recursion once.  An engine keeps its own copy of the prices, and its
 arrays (``prices``, ``L``, ``beta``, ``y``, ``theta1``) are read-only.
 
+Each engine also keeps its last payoff sweep in one slot: ``v_bar`` and
+the per-level ``xi`` of the payoff matrix swept last, keyed on that
+matrix's shape and bytes, plus its ``eps2`` once :meth:`GainsOperator.values`
+asked for it.  The slot holds one payoff matrix (the next one evicts it)
+and hands out read-only arrays.  :meth:`GainsOperator.hedges` and
+:meth:`GainsOperator.values` both go through it, so the frontiers of
+``linear_mv.agent_frontier``, read off the sweep of every agent's
+endowment, reuse the sweep the solve's hedge ran.
+
 The Galtchouk-Kunita-Watanabe decomposition of a martingale against
 reference martingales is the hedge with those martingales as prices:
 there ``beta`` is 0 and ``L`` is 1, so ``xi`` is the least-norm integrand
@@ -100,6 +109,18 @@ class _Level(NamedTuple):
     x: np.ndarray  # (k, b, d) weighted increments X = w dS
     wgt: np.ndarray  # (k, b) weights w = sqrt(p L)
     res: np.ndarray  # (k, b) local residual w (1 - beta . dS) of the payoff 1
+
+
+class _Sweep:
+    """The slot of an engine's last backward sweep: the payoff matrix's
+    shape and bytes, its ``v`` (``v_bar`` plus a padding row) and per-level
+    ``xi``, and ``eps2`` once :meth:`GainsOperator.values` asked for it.
+    Every array is read-only."""
+
+    def __init__(self, key, v, xis):
+        self.key, self.v, self.xis = key, v, xis
+        self.v_bar = v[:-1]
+        self.eps2 = None
 
 
 def _price_matrix(prices) -> np.ndarray:
@@ -173,6 +194,7 @@ class GainsOperator:
         for a in (self.prices, self.L, self.beta, self.y, self.theta1):
             a.flags.writeable = False
         self._unique: dict[float, bool] = {}
+        self._swept: _Sweep | None = None
 
     def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
         """Strategy ``(n_nodes, d)`` from its coordinates ``x``, the flat
@@ -223,9 +245,12 @@ class GainsOperator:
         """Mean value process of each payoff column of ``H`` (one row per
         leaf) at every node, and each column's minimal squared error with
         a free initial constant, ``eps2``: the sum over nodes of ``P(n)``
-        times the squared local residual.  One backward sweep."""
-        v_bar, _, eps2 = self._backward(H, with_error=True)
-        return v_bar, eps2
+        times the squared local residual.  One backward sweep, or none if
+        ``H`` was the last payoff matrix swept; both arrays are read-only."""
+        sw = self._sweep(H)
+        if sw.eps2 is None:
+            sw.eps2 = self._errors(sw)
+        return sw.v_bar, sw.eps2
 
     def constants(self, H) -> np.ndarray:
         """Closed-form initial constants ``E[h (1 - g)] / ell`` of the
@@ -233,26 +258,46 @@ class GainsOperator:
         tree = self.tree
         return (tree.leaf_probs * self.y[tree.leaves]) @ np.asarray(H, float) / self.ell
 
-    def _backward(self, H, with_error=False):
-        """``v_bar`` (n_nodes, m), the per-level ``xi`` (k, d, m) and, if
-        asked for, ``eps2`` (m,) of the payoff columns of ``H``."""
+    def _sweep(self, H) -> _Sweep:
+        """The backward sweep of the payoff columns of ``H``, taken from
+        the slot if ``H`` has the same shape and bits as the payoff matrix
+        swept last (so ``-0.0`` and ``0.0`` never share one), else run and
+        put in the slot."""
+        H = np.asarray(H, dtype=float).reshape(self.tree.n_leaves, -1)
+        key = (H.shape, H.tobytes())
+        sw = self._swept  # read once, like _as_operator's slot
+        if sw is None or sw.key != key:
+            v, xis = self._backward(H)
+            for a in (v, *xis):
+                a.flags.writeable = False
+            sw = self._swept = _Sweep(key, v, xis)
+        return sw
+
+    def _backward(self, H):
+        """``v_bar`` (n_nodes + 1, m; the last row pads the child tables)
+        and the per-level ``xi`` (k, d, m) of the payoff columns of ``H``."""
         tree = self.tree
         n, d = self.prices.shape
-        H = np.asarray(H, dtype=float).reshape(tree.n_leaves, -1)
         v = np.zeros((n + 1, H.shape[1]))
         v[tree.leaves] = H
-        eps2 = np.zeros(H.shape[1]) if with_error else None
         xis = []
         for lv in reversed(self._levels):
-            vk = v[lv.kids]
-            out = lv.m @ vk
-            xi, vn = out[:, :d], out[:, d] * lv.inv_L[:, None]
-            v[lv.nodes] = vn
-            xis.append(xi)
-            if with_error:
-                r = lv.wgt[:, :, None] * vk - lv.x @ xi - lv.res[:, :, None] * vn[:, None, :]
-                eps2 += tree.prob[lv.nodes] @ np.einsum("kbm,kbm->km", r, r)
-        return v[:n], xis[::-1], eps2
+            out = lv.m @ v[lv.kids]
+            v[lv.nodes] = out[:, d] * lv.inv_L[:, None]
+            xis.append(out[:, :d])
+        return v, xis[::-1]
+
+    def _errors(self, sw: _Sweep) -> np.ndarray:
+        """``eps2`` (m,) of a swept payoff matrix, read off its ``v_bar``
+        and ``xi`` without another sweep; read-only."""
+        v = sw.v
+        eps2 = np.zeros(v.shape[1])
+        for lv, xi in zip(reversed(self._levels), reversed(sw.xis)):
+            r = (lv.wgt[:, :, None] * v[lv.kids] - lv.x @ xi
+                 - lv.res[:, :, None] * v[lv.nodes][:, None, :])
+            eps2 += self.tree.prob[lv.nodes] @ np.einsum("kbm,kbm->km", r, r)
+        eps2.flags.writeable = False
+        return eps2
 
     def _forward(self, xis, capital) -> tuple[np.ndarray, np.ndarray]:
         """Strategies (``(m, n_nodes, d)``) and wealth paths (``(n_nodes,
@@ -271,7 +316,8 @@ class GainsOperator:
 
     def hedges(self, H, tol: float, extended=False) -> list[MvhSolution]:
         """Hedge of each payoff column of ``H`` (one row per leaf) from one
-        backward and one forward sweep.  ``extended`` (one flag, or one
+        backward sweep (none if ``H`` is the payoff matrix in the slot)
+        and one forward sweep.  ``extended`` (one flag, or one
         per column) marks the columns hedged with a free initial constant,
         ``v_bar_0`` (see :func:`solve_exmvh`); they need ``ell > tol``."""
         tree = self.tree
@@ -279,9 +325,9 @@ class GainsOperator:
         extended = np.broadcast_to(np.asarray(extended, dtype=bool), H.shape[1:])
         if extended.any() and self.ell <= tol:
             raise ValueError("value-process uniqueness fails")
-        v, xis, _ = self._backward(H)
-        capital = np.where(extended, v[0], 0.0)
-        theta, wealth = self._forward(xis, capital)
+        sw = self._sweep(H)
+        capital = np.where(extended, sw.v[0], 0.0)
+        theta, wealth = self._forward(sw.xis, capital)
         err = tree.leaf_probs @ (wealth[tree.leaves] - H) ** 2
         unique = self.unique_gains(tol)
         return [
@@ -426,8 +472,8 @@ def opportunity_process(
             f"opportunity process vanishes at node {dead[0]}, "
             "where the mean value process is undefined"
         )
-    v_bar, _ = op.values(h_bar)
-    return OpportunityProcess(L=op.L, v_bar=v_bar[:, 0], theta0=op.theta1, m0=op.L * op.y)
+    v_bar = op._sweep(h_bar).v_bar[:, 0]
+    return OpportunityProcess(L=op.L, v_bar=v_bar, theta0=op.theta1, m0=op.L * op.y)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ class AggregateState:
     h_bar: np.ndarray  # per leaf
     z_bar: np.ndarray  # per node
     eta_bar: np.ndarray  # length d1 + d2, zeros on the financial block
+    num: np.ndarray  # per node and productive asset: E[h_bar D_j | F_n]
 
 
 @dataclass
@@ -76,8 +77,8 @@ class EquilibriumReport:
 
 
 def aggregate(s: Scenario) -> AggregateState:
-    """Representative-agent data: aggregate risk tolerance, endowment and
-    the density martingale."""
+    """Representative-agent data: aggregate risk tolerance, endowment, the
+    density martingale and the numerators of the productive prices."""
     gammas = []
     for a in s.agents:
         if not isinstance(a.preference, Quadratic):
@@ -86,14 +87,28 @@ def aggregate(s: Scenario) -> AggregateState:
     gamma_bar = float(sum(gammas))
     xi_bar = aggregate_endowment(s)
     h_bar = gamma_bar - xi_bar
-    z_bar = martingale_from_terminal(s.tree, h_bar)
+    z_bar, num, _ = _density_martingales(s.tree, h_bar, s.dividends)
     return AggregateState(
         gamma_bar=gamma_bar,
         xi_bar=xi_bar,
         h_bar=h_bar,
         z_bar=z_bar,
         eta_bar=s.eta_bar(),
+        num=num,
     )
+
+
+def _density_martingales(tree, h_bar, dividends, *more):
+    """From one backward sweep: the density martingale closed by
+    ``h_bar``, the numerators ``E[h_bar D_j | F_n]`` of the productive
+    prices (one column per dividend column) and the martingales closed by
+    the leaf columns ``more``."""
+    dividends = np.asarray(dividends, dtype=float).reshape(tree.n_leaves, -1)
+    h_bar = np.asarray(h_bar, dtype=float)
+    d2 = dividends.shape[1]
+    mart = martingale_from_terminal(
+        tree, np.column_stack([h_bar, h_bar[:, None] * dividends, *more]))
+    return np.ascontiguousarray(mart[:, 0]), mart[:, 1:d2 + 1], mart[:, d2 + 1:]
 
 
 def _financial_prices(tree, s0_fin, m_fin, z_bar, tol, degenerate):
@@ -109,15 +124,6 @@ def _financial_prices(tree, s0_fin, m_fin, z_bar, tol, degenerate):
     a = np.zeros_like(m_fin)
     a[1:] = da[tree.parent[1:]]
     return s0_fin + m_fin + tree.accumulate(a)
-
-
-def _productive_prices_regular(tree, h_bar, dividends, z_bar):
-    d2 = dividends.shape[1]
-    prices = np.zeros((tree.n_nodes, d2))
-    for j in range(d2):
-        num = martingale_from_terminal(tree, h_bar * dividends[:, j])
-        prices[:, j] = num / z_bar
-    return prices
 
 
 def _productive_prices_degenerate(tree, dividends, z_bar, tol):
@@ -142,9 +148,15 @@ def construct_prices(
     h_bar,
     tol: float = DEFAULT_TOL,
     degenerate: bool = False,
+    z_bar=None,
+    num=None,
 ) -> np.ndarray:
-    """Equilibrium price system for a given aggregate payoff ``h_bar``."""
-    z_bar = martingale_from_terminal(tree, h_bar)
+    """Equilibrium price system for a given aggregate payoff ``h_bar``.
+    A caller that has the density martingale ``z_bar`` and the productive
+    numerators ``num`` of ``h_bar`` (see :class:`AggregateState`) passes
+    them on; otherwise they are computed here."""
+    if z_bar is None:
+        z_bar, num, _ = _density_martingales(tree, h_bar, dividends)
     m_fin = np.asarray(m_fin, dtype=float).reshape(tree.n_nodes, -1)
     d1 = m_fin.shape[1]
     blocks = []
@@ -165,7 +177,7 @@ def construct_prices(
                 raise ValueError(
                     "density process vanishes; use the degenerate construction"
                 )
-            blocks.append(_productive_prices_regular(tree, h_bar, dividends, z_bar))
+            blocks.append(num / z_bar[:, None])
     return np.hstack(blocks)
 
 
@@ -175,15 +187,16 @@ def construct_regular(s: Scenario, tol: float = DEFAULT_TOL) -> np.ndarray:
     agg = aggregate(s)
     if np.min(np.abs(agg.z_bar)) <= tol:
         raise ValueError("density process vanishes; use the degenerate construction")
-    return construct_prices(
-        s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol, degenerate=False
-    )
+    return construct_prices(s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol,
+                            False, agg.z_bar, agg.num)
 
 
-def check_necessary_conditions(s: Scenario, tol: float = DEFAULT_TOL) -> dict:
+def check_necessary_conditions(
+    s: Scenario, tol: float = DEFAULT_TOL, agg: AggregateState | None = None
+) -> dict:
     """Nodewise existence conditions on the set where the density process
     vanishes.  Returns per-condition failure lists and an overall flag."""
-    agg = aggregate(s)
+    agg = aggregate(s) if agg is None else agg
     tree = s.tree
     cond_xi: list[tuple[int, int, float]] = []
     cond_g: list[tuple[int, int, float]] = []
@@ -200,7 +213,7 @@ def check_necessary_conditions(s: Scenario, tol: float = DEFAULT_TOL) -> dict:
             cond_xi.append((int(n), int(i), float(val[n, i])))
 
     for j in range(s.d2):
-        num = martingale_from_terminal(tree, agg.h_bar * s.dividends[:, j])
+        num = agg.num[:, j]
         for n in np.flatnonzero(dead & (np.abs(num) > tol)):
             cond_g.append((int(n), j, float(num[n])))
 
@@ -227,17 +240,16 @@ def construct_degenerate(s: Scenario, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Equilibrium prices that remain valid when the density process hits
     zero.  Raises :class:`NonexistenceError` if the necessary conditions
     fail."""
-    cond = check_necessary_conditions(s, tol)
+    agg = aggregate(s)
+    cond = check_necessary_conditions(s, tol, agg)
     if not cond["passed"]:
         failed = "xi" if cond["cond_xi_failures"] else "dividend"
         raise NonexistenceError(
             f"necessary condition on the {failed} side fails where the "
             "density process vanishes"
         )
-    agg = aggregate(s)
-    return construct_prices(
-        s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol, degenerate=True
-    )
+    return construct_prices(s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol,
+                            True, agg.z_bar, agg.num)
 
 
 def _full_eta(s: Scenario, k: int) -> np.ndarray:
@@ -278,21 +290,29 @@ def _optima(s: Scenario, op: GainsOperator, ks, tol: float, extra=None):
     sols = op.hedges(np.reshape(cols, (-1, tree.n_leaves)).T, tol,
                      np.arange(len(cols)) >= len(plain))
 
-    out = []
+    out, gaps = [], []
     for i, k in enumerate(ks):
         eta = _constant_strategy(tree, _full_eta(s, k))
         theta = sols[i].theta + eta
-        report = {"mvh_sq_error": sols[i].sq_error, "unique": sols[i].unique}
+        out.append((theta, {"mvh_sq_error": sols[i].sq_error, "unique": sols[i].unique}))
         if ex:
-            # gains of theta minus those of the decomposition
+            # theta minus the decomposition
             # eta - (hedge of xi_k) + (gamma_k - c_k) theta1
             e = sols[len(plain) + i]
-            alt = eta - e.theta + (gammas[i] - e.c) * op.theta1
-            diff = stoch_integral(tree, theta - alt, op.prices)
-            report["c_k"] = e.c
-            report["decomposition_gap"] = float(np.max(np.abs(diff)))
-        out.append((theta, report))
+            gaps.append(theta - (eta - e.theta + (gammas[i] - e.c) * op.theta1))
+    if ex:
+        diff = _gains(tree, gaps, op.prices)
+        for i, (_, report) in enumerate(out):
+            report["c_k"] = sols[len(plain) + i].c
+            report["decomposition_gap"] = float(np.max(np.abs(diff[:, i])))
     return out, (None if extra is None else sols[len(ks)])
+
+
+def _gains(tree: FiltrationTree, strategies, prices) -> np.ndarray:
+    """Gains paths of a list of strategies, one column each, from one
+    forward sweep."""
+    prices = np.asarray(prices, dtype=float).reshape(tree.n_nodes, -1)
+    return stoch_integral(tree, np.reshape(strategies, (-1,) + prices.shape), prices)
 
 
 def clearing_residual(s: Scenario, prices, strategies) -> float:
@@ -301,8 +321,8 @@ def clearing_residual(s: Scenario, prices, strategies) -> float:
     aggregate supply held buy-and-hold."""
     tree = s.tree
     total = sum(strategies, np.zeros((tree.n_nodes, s.d)))
-    supply = stoch_integral(tree, _constant_strategy(tree, s.eta_bar()), prices)
-    return float(np.max(np.abs(stoch_integral(tree, total, prices) - supply)))
+    gains = _gains(tree, [total, _constant_strategy(tree, s.eta_bar())], prices)
+    return float(np.max(np.abs(gains[:, 0] - gains[:, 1])))
 
 
 def representative_check(
@@ -316,21 +336,20 @@ def representative_check(
     optima, sol = _optima(s, op, range(len(s.agents)), tol, extra=agg.h_bar)
     total = sum((theta for theta, _ in optima), np.zeros((tree.n_nodes, s.d)))
     rep = sol.theta + _constant_strategy(tree, agg.eta_bar)
-    diff = stoch_integral(tree, total, op.prices) - stoch_integral(
-        tree, rep, op.prices
-    )
-    residual = float(np.max(np.abs(diff)))
+    gains = _gains(tree, [total, rep], op.prices)
+    residual = float(np.max(np.abs(gains[:, 0] - gains[:, 1])))
     return residual, residual <= tol
 
 
 def verify_equilibrium(
-    s: Scenario, prices, tol: float = DEFAULT_TOL
+    s: Scenario, prices, tol: float = DEFAULT_TOL, agg: AggregateState | None = None
 ) -> EquilibriumReport:
     """First-principles check of a candidate price system: recompute every
-    agent's optimum and test market clearing at the gains-path level."""
+    agent's optimum and test market clearing at the gains-path level.
+    ``agg`` is :func:`aggregate` of ``s`` if the caller has it."""
     tree = s.tree
     prices = np.asarray(prices, dtype=float).reshape(tree.n_nodes, s.d)
-    agg = aggregate(s)
+    agg = aggregate(s) if agg is None else agg
 
     # structural checks: terminal dividends and given martingale parts
     term = prices[tree.leaves, s.d1:]
@@ -354,14 +373,13 @@ def verify_equilibrium(
 
     op = _as_operator(tree, prices)
     optima, _ = _optima(s, op, range(len(s.agents)), tol)
-    strategies = []
+    strategies = [theta for theta, _ in optima]
+    gains = _gains(tree, [theta - _constant_strategy(tree, _full_eta(s, k))
+                          for k, theta in enumerate(strategies)], prices)
     gaps = []
-    for k, (theta, rep) in enumerate(optima):
-        strategies.append(theta)
-        gamma_k = s.agents[k].preference.gamma
-        hk = gamma_k - total_endowment(s, k)
-        gains = stoch_integral(tree, theta - _constant_strategy(tree, _full_eta(s, k)), prices)
-        err = float(tree.leaf_probs @ (gains[tree.leaves] - hk) ** 2)
+    for k, (_, rep) in enumerate(optima):
+        hk = s.agents[k].preference.gamma - total_endowment(s, k)
+        err = float(tree.leaf_probs @ (gains[tree.leaves, k] - hk) ** 2)
         gaps.append(err - rep["mvh_sq_error"])
 
     clearing = clearing_residual(s, prices, strategies)
@@ -392,7 +410,7 @@ def solve_quadratic(s: Scenario, tol: float = DEFAULT_TOL) -> EquilibriumReport:
     diagnostics: dict = {}
     degenerate = np.min(np.abs(agg.z_bar)) <= tol
     if degenerate:
-        cond = check_necessary_conditions(s, tol)
+        cond = check_necessary_conditions(s, tol, agg)
         diagnostics["necessary_conditions"] = cond
         if not cond["passed"]:
             which = (
@@ -408,9 +426,8 @@ def solve_quadratic(s: Scenario, tol: float = DEFAULT_TOL) -> EquilibriumReport:
         diagnostics["restart_martingale_failures"] = restart_martingale_failures(
             s.tree, agg.z_bar, tol
         )
-    prices = construct_prices(
-        s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol, degenerate
-    )
-    report = verify_equilibrium(s, prices, tol)
+    prices = construct_prices(s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol,
+                              degenerate, agg.z_bar, agg.num)
+    report = verify_equilibrium(s, prices, tol, agg)
     report.diagnostics.update(diagnostics)
     return report

@@ -32,11 +32,16 @@ def cond_expect(tree: FiltrationTree, x_leaf, t: int) -> np.ndarray:
 
 
 def martingale_from_terminal(tree: FiltrationTree, x_leaf) -> np.ndarray:
-    """The martingale closed by the leaf values, one value per node."""
-    out = np.zeros(tree.n_nodes)
-    out[tree.leaves] = np.asarray(x_leaf, dtype=float)
-    for lvl in reversed(tree.nodes_at[:-1]):
-        out[lvl] = tree.child_mean(out)[lvl]
+    """The martingale closed by the leaf values, one value per node; leaf
+    values of shape ``(n_leaves, m)`` close ``m`` martingales, one column
+    each.  The columns are swept one after another, like
+    :meth:`FiltrationTree.accumulate`'s."""
+    x_leaf = np.asarray(x_leaf, dtype=float)
+    out = np.zeros((tree.n_nodes,) + x_leaf.shape[1:])
+    out[tree.leaves] = x_leaf
+    for col in out.reshape(tree.n_nodes, -1).T:
+        for lvl in reversed(tree.nodes_at[:-1]):
+            col[lvl] = tree.child_mean(col)[lvl]
     return out
 
 
@@ -67,15 +72,18 @@ def delta_bracket(
 def stoch_integral(tree: FiltrationTree, theta, s) -> np.ndarray:
     """Discrete stochastic integral (theta . s), one value per node, null
     at the root.  ``theta`` is predictable of shape ``(n_nodes, d)`` and
-    ``s`` adapted of shape ``(n_nodes, d)``; scalar shapes are accepted."""
+    ``s`` adapted of shape ``(n_nodes, d)``; scalar shapes are accepted.
+    ``m`` strategies at once, ``theta`` of shape ``(m, n_nodes, d)``, give
+    one column each, ``(n_nodes, m)``, from one forward sweep."""
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
     if theta.ndim == 1:
         theta = theta[:, None]
-    gains = np.zeros(tree.n_nodes)
-    gains[1:] = np.sum(theta[tree.parent[1:]] * tree.increments(s)[1:], axis=1)
+    steps = np.sum(theta[..., tree.parent[1:], :] * tree.increments(s)[1:], axis=-1)
+    gains = np.zeros((tree.n_nodes,) + steps.shape[:-1])
+    gains[1:] = steps.T
     return tree.accumulate(gains)
 
 

@@ -148,10 +148,10 @@ class FiltrationTree:
         y = np.asarray(y, dtype=float)
         n = self.n_nodes
         cols = y.reshape(n, -1)[1:] * self.cond_prob[1:, None]
-        out = np.empty((n, cols.shape[1]))
-        for j in range(cols.shape[1]):
-            out[:, j] = np.bincount(self.parent[1:], weights=cols[:, j], minlength=n)
-        return out.reshape(y.shape)
+        m = cols.shape[1]
+        # column j of node i goes to bin i * m + j: one bincount for all columns
+        bins = self.parent[1:] if m == 1 else (self.parent[1:, None] * m + np.arange(m)).ravel()
+        return np.bincount(bins, weights=cols.ravel(), minlength=n * m).reshape(y.shape)
 
     def child_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per time ``t < horizon``, the nodes at ``t`` and their children:
@@ -182,10 +182,15 @@ class FiltrationTree:
     def accumulate(self, x: np.ndarray, start: int = 0, op=np.add) -> np.ndarray:
         """Forward sweep in place: ``x[c] = op(x[parent[c]], x[c])`` for
         every node after time ``start``, level by level from the root.
-        Entries at times up to ``start`` are left as they are.  Returns
+        Entries at times up to ``start`` are left as they are.  ``x`` has
+        shape ``(n_nodes,)`` or ``(n_nodes, m)``; the columns of the
+        latter are swept one after another, since gathering whole rows
+        costs several times as much as gathering single values.  Returns
         ``x``."""
-        for lvl in self.nodes_at[start + 1 :]:
-            x[lvl] = op(x[self.parent[lvl]], x[lvl])
+        steps = [(lvl, self.parent[lvl]) for lvl in self.nodes_at[start + 1 :]]
+        for col in x.reshape(len(x), -1).T:
+            for lvl, par in steps:
+                col[lvl] = op(col[par], col[lvl])
         return x
 
     def descendants(self, node: int) -> np.ndarray:

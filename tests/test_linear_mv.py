@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mveq import (
     LinearMV,
     Scenario,
     agent_frontier,
+    aggregate_endowment,
     gamma_bar_fixed_point,
     mv_efficiency_check,
     optimal_mv_strategy,
@@ -92,6 +95,29 @@ def test_solve_linear_mv_scen_b(scen_b):
     assert report.identity_residual <= 1e-12
     assert report.clearing_residual <= 1e-12
     assert not report.trivial_regime
+
+
+def in_units(s, k):
+    """``s`` with every money amount multiplied by ``k``."""
+    return replace(s, s0_fin=s.s0_fin * k, m_fin=s.m_fin * k, dividends=s.dividends * k,
+                   agents=[AgentSpec(a.eta2, a.xi_n * k, LinearMV(a.preference.lam * k))
+                           for a in s.agents])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4])
+def test_trivial_regime_invariant_under_money_unit(seed):
+    s = generate_random_scenario(seed, horizon=3, branching=3, d1=1, d2=1, n_agents=2,
+                                 preference_kind="linear_mv")
+    # agent 0's income offsets the others': the aggregate endowment is
+    # constant up to round-off, so is the density at the boundary level
+    a0 = s.agents[0]
+    xi_0 = a0.xi_n - aggregate_endowment(s) + 2.0
+    flat = replace(s, agents=[AgentSpec(a0.eta2, xi_0, a0.preference), *s.agents[1:]])
+    for market, trivial in ((s, False), (flat, True)):
+        for k in (1.0, 1e-6, 1e5):
+            report = solve_linear_mv(in_units(market, k))
+            assert report.exists
+            assert report.trivial_regime == trivial, k
 
 
 def test_solve_linear_mv_nonexistent(scen_b):

@@ -425,6 +425,14 @@ def test_one_hedge_sweep_per_solve(monkeypatch):
     sweeps.update(__init__=0, _backward=0, _forward=0)
     opportunity_process(tree, prices, aggregate(s).h_bar)
     assert sweeps == {"__init__": 1, "_backward": 1, "_forward": 0}
+    # the frontiers read the solve's sweep of the endowments; only the
+    # opportunity process sweeps another payoff
+    s = generate_random_scenario(0, horizon=3, branching=3, d1=1, d2=1,
+                                 n_agents=3, preference_kind="linear_mv")
+    monkeypatch.setattr(mvh, "_last", None)
+    sweeps.update(__init__=0, _backward=0, _forward=0)
+    frontier_session(s, lambda: None)
+    assert sweeps == {"__init__": 1, "_backward": 2, "_forward": 1}
 
 
 def bits(values):
@@ -513,3 +521,49 @@ def test_engine_arrays_read_only():
     before = bits([op.prices])
     prices[0] += 1.0
     assert bits([op.prices]) == before
+
+
+def test_sweep_slot_keyed_on_payoff_bits(monkeypatch):
+    tree, prices, s = random_market(41)
+    H = np.column_stack([aggregate(s).h_bar, np.zeros(tree.n_leaves)])
+    ulp = H.copy()
+    ulp[2, 0] = np.nextafter(ulp[2, 0], np.inf)
+    neg = H.copy()
+    neg[3, 1] = -0.0
+    sweeps = count_calls(monkeypatch, GainsOperator, ["_backward"])
+    for name, other, swept in (("equal copy", H.copy(), 0), ("one ulp", ulp, 1),
+                               ("-0.0", neg, 1)):
+        cold = bits(GainsOperator(tree, prices).values(other))
+        op = GainsOperator(tree, prices)
+        op.values(H)
+        sweeps.update(_backward=0)
+        assert bits(op.values(other)) == cold, name
+        assert sweeps == {"_backward": swept}, name
+
+
+def test_sweep_slot_holds_one_payoff_matrix(monkeypatch):
+    tree, prices, s = random_market(41)
+    h1 = aggregate(s).h_bar
+    h2 = h1 + 1.0
+    op = GainsOperator(tree, prices)
+    sweeps = count_calls(monkeypatch, GainsOperator, ["_backward", "_forward"])
+    first = bits(op.values(h1))
+    op.values(h2)
+    assert bits(op.values(h1)) == first
+    assert sweeps == {"_backward": 3, "_forward": 0}
+    # a hedge of the payoff in the slot runs only the forward sweep
+    sol = op.hedge(h1, DEFAULT_TOL)
+    assert sweeps == {"_backward": 3, "_forward": 1}
+    assert bits([sol.theta]) == bits([GainsOperator(tree, prices).hedge(h1, DEFAULT_TOL).theta])
+
+
+def test_sweep_slot_arrays_read_only():
+    tree, prices, s = random_market(41)
+    h = aggregate(s).h_bar
+    op = _as_operator(tree, prices)
+    v_bar, eps2 = op.values(h)
+    opp = opportunity_process(tree, prices, h)
+    for a in (v_bar, eps2, opp.v_bar):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert bits(op.values(h)) == bits(GainsOperator(tree, prices).values(h))

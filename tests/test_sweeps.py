@@ -299,6 +299,23 @@ def test_gkw_and_integral_match_loops(tree):
 
 
 @pytest.mark.parametrize("tree", TREES, ids=IDS)
+def test_batched_sweeps_match_per_column_bitwise(tree):
+    rng = np.random.default_rng(tree.n_nodes + 7)
+    y = rng.uniform(-2.0, 2.0, (tree.n_nodes, 4))
+    means = tree.child_mean(y)
+    x = rng.uniform(-2.0, 2.0, (tree.n_leaves, 4))
+    mart = martingale_from_terminal(tree, x)
+    for j in range(4):
+        assert means[:, j].tobytes() == tree.child_mean(y[:, j]).tobytes()
+        assert mart[:, j].tobytes() == martingale_from_terminal(tree, x[:, j]).tobytes()
+    s = np.column_stack([martingale(tree, rng) for _ in range(3)])
+    thetas = rng.uniform(-1.0, 1.0, (5, tree.n_nodes, 3))
+    gains = stoch_integral(tree, thetas, s)
+    for j in range(5):
+        assert gains[:, j].tobytes() == stoch_integral(tree, thetas[j], s).tobytes()
+
+
+@pytest.mark.parametrize("tree", TREES, ids=IDS)
 def test_restarted_exponential_matches_loop_bitwise(tree):
     rng = np.random.default_rng(tree.n_nodes + 2)
     z = martingale(tree, rng)
@@ -461,8 +478,11 @@ def test_trivial_regime_matches_loop(seed):
         xi_bar = sum(dividends @ a.eta2 + a.xi_n for a in s.agents)
         z0 = loop_martingale_from_terminal(tree, g0 - xi_bar)
         mart = [scen.m_fin[:, 0], loop_martingale_from_terminal(tree, dividends[:, 0])]
-        ref = all(np.max(np.abs(loop_bracket(tree, x, z0))) <= TOL for x in mart)
-        assert _is_trivial_regime(scen, g0, TOL) == ref
+        # each bracket against TOL times the levels of its two factors
+        scale = max(abs(g0), float(np.max(np.abs(xi_bar))))
+        ref = all(np.max(np.abs(loop_bracket(tree, x, z0))) <= TOL * np.max(np.abs(x)) * scale
+                  for x in mart)
+        assert _is_trivial_regime(tree, np.column_stack(mart), z0, scale, TOL) == ref
         assert ref == (dividends is not s.dividends)
 
 
