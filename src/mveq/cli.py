@@ -104,21 +104,18 @@ def _verify_linear(scenario: Scenario, prices, tol) -> dict:
         linear_mv._mv_strategies(scenario, op, range(len(scenario.agents)), tol)
     ]
     clearing = quadratic.clearing_residual(scenario, prices, strategies)
-    verdict = "Equilibrium" if clearing <= tol else "NotEquilibrium"
-    return {
-        "verdict": verdict,
-        "reason": "" if clearing <= tol else "clearing fails",
-        "clearing_residual": clearing,
-    }
+    verdict, reason = quadratic._clearing_verdict(clearing, tol)
+    return {"verdict": verdict, "reason": reason, "clearing_residual": clearing}
 
 
 def cmd_verify(args, scenario: Scenario, prices) -> dict:
     if prices is None:
         raise ValidationFailure("verify needs a 'prices' block in the scenario file")
+    if not np.all(np.isfinite(prices)):
+        raise ValidationFailure("prices must be finite")
     # the terminal condition is a primitive: reject price blocks that
     # disagree with the dividends
-    term = prices[scenario.tree.leaves, scenario.d1 :]
-    if scenario.d2 > 0 and np.max(np.abs(term - scenario.dividends)) > args.tol:
+    if quadratic._terminal_gap(scenario, prices) > args.tol:
         raise ValidationFailure("terminal prices must equal the dividends")
     if _all_linear(scenario):
         return _verify_linear(scenario, prices, args.tol)

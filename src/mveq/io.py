@@ -30,19 +30,45 @@ class ParseError(ValueError):
     """Malformed scenario document."""
 
 
-def _require(doc: dict, key: str):
+def _require(doc, key: str, name: str | None = None):
+    """The field ``key`` of the object ``doc``, which sits at ``name`` in
+    the document (the document itself if None)."""
+    if not isinstance(doc, dict):
+        if name is None:
+            raise ParseError("scenario document must be a JSON object")
+        raise ParseError(f"field {name!r} must be an object")
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
     return doc[key]
 
 
+def _convert(value, convert, name: str):
+    """``convert(value)``, or a :class:`ParseError` naming the field
+    ``name`` if the value has the wrong type or does not convert."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad field {name!r}: {exc}") from exc
+
+
+def _array(value, name: str, shape=None) -> np.ndarray:
+    """A float array from ``value``, reshaped to ``shape`` if given."""
+    def convert(v):
+        arr = np.asarray(v, dtype=float)
+        return arr if shape is None else arr.reshape(shape)
+
+    return _convert(value, convert, name)
+
+
 def parse_scenario(doc: dict) -> tuple[Scenario, np.ndarray | None]:
     """Build a scenario (and the optional price block) from a parsed JSON
-    document."""
+    document.  Any missing field, or one of the wrong type or that does
+    not convert, raises :class:`ParseError`."""
     try:
         tree_doc = _require(doc, "tree")
         tree = FiltrationTree(
-            _require(tree_doc, "children"), _require(tree_doc, "leaf_probs")
+            _require(tree_doc, "children", "tree"),
+            _require(tree_doc, "leaf_probs", "tree"),
         )
     except ParseError:
         raise
@@ -54,33 +80,32 @@ def parse_scenario(doc: dict) -> tuple[Scenario, np.ndarray | None]:
         raise ParseError(
             f"declared horizon {horizon} does not match the tree ({tree.horizon})"
         )
-    d1 = int(_require(doc, "d1"))
-    d2 = int(_require(doc, "d2"))
-    try:
-        m_fin = np.asarray(_require(doc, "m_fin"), dtype=float).reshape(
-            tree.n_nodes, d1
-        )
-        dividends = np.asarray(_require(doc, "dividends"), dtype=float).reshape(
-            tree.n_leaves, d2
-        )
-        s0_fin = np.asarray(_require(doc, "s0_fin"), dtype=float).reshape(d1)
-    except ValueError as exc:
-        raise ParseError(f"bad array field: {exc}") from exc
+    d1 = _convert(_require(doc, "d1"), int, "d1")
+    d2 = _convert(_require(doc, "d2"), int, "d2")
+    m_fin = _array(_require(doc, "m_fin"), "m_fin", (tree.n_nodes, d1))
+    dividends = _array(_require(doc, "dividends"), "dividends", (tree.n_leaves, d2))
+    s0_fin = _array(_require(doc, "s0_fin"), "s0_fin", (d1,))
 
+    agents_doc = _require(doc, "agents")
+    if not isinstance(agents_doc, list):
+        raise ParseError("field 'agents' must be a list")
     agents = []
-    for i, a in enumerate(_require(doc, "agents")):
-        pref_doc = _require(a, "preference")
-        kind = _require(pref_doc, "type")
+    for i, a in enumerate(agents_doc):
+        where = f"agents[{i}]"
+        pref_doc = _require(a, "preference", where)
+        kind = _require(pref_doc, "type", f"{where}.preference")
         if kind == "quadratic":
-            pref = Quadratic(gamma=float(_require(pref_doc, "gamma")))
+            gamma = _require(pref_doc, "gamma", f"{where}.preference")
+            pref = Quadratic(gamma=_convert(gamma, float, f"{where}.preference.gamma"))
         elif kind == "linear_mv":
-            pref = LinearMV(lam=float(_require(pref_doc, "lambda")))
+            lam = _require(pref_doc, "lambda", f"{where}.preference")
+            pref = LinearMV(lam=_convert(lam, float, f"{where}.preference.lambda"))
         else:
             raise ParseError(f"agent {i}: unknown preference type {kind!r}")
         agents.append(
             AgentSpec(
-                eta2=np.asarray(_require(a, "eta2"), dtype=float),
-                xi_n=np.asarray(_require(a, "xi_n"), dtype=float),
+                eta2=_array(_require(a, "eta2", where), f"{where}.eta2"),
+                xi_n=_array(_require(a, "xi_n", where), f"{where}.xi_n"),
                 preference=pref,
             )
         )
@@ -92,12 +117,7 @@ def parse_scenario(doc: dict) -> tuple[Scenario, np.ndarray | None]:
 
     prices = None
     if doc.get("prices") is not None:
-        try:
-            prices = np.asarray(doc["prices"], dtype=float).reshape(
-                tree.n_nodes, d1 + d2
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad prices block: {exc}") from exc
+        prices = _array(doc["prices"], "prices", (tree.n_nodes, d1 + d2))
     return scenario, prices
 
 

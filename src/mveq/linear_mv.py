@@ -15,6 +15,7 @@ import numpy as np
 
 from .mvh import GainsOperator, _as_operator
 from .quadratic import (
+    AggregateState,
     _constant_strategy,
     _density_martingales,
     _full_eta,
@@ -131,8 +132,9 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     # level and the dividend martingales, from one sweep
     z_bar, num, more = _density_martingales(tree, h_bar, s.dividends,
                                             gamma_bar_0 - xi_bar, s.dividends)
-    prices = construct_prices(tree, s.s0_fin, s.m_fin, s.dividends, h_bar, tol,
-                              False, z_bar, num)
+    # the quadratic equilibrium at the fixed-point risk tolerance
+    agg = AggregateState(gamma_bar, xi_bar, h_bar, z_bar, s.eta_bar(), num)
+    prices = construct_prices(s, tol, agg)
     report.prices = prices
     report.trivial_regime = _is_trivial_regime(
         tree, np.column_stack([s.m_fin, more[:, 1:]]), more[:, 0],

@@ -63,7 +63,6 @@ from .stoch import (
 from .tree import FiltrationTree
 
 __all__ = [
-    "GainsOperator",
     "GkwDecomposition",
     "MvhSolution",
     "OpportunityProcess",

@@ -5,7 +5,9 @@ The aggregate density process is the martingale closed by the aggregate
 bliss-point shortfall.  When it never vanishes the equilibrium is unique
 and given in closed form; when it hits zero, prices are built with a
 restarted multiplicative reconstruction and existence hinges on two
-nodewise necessary conditions.
+nodewise necessary conditions.  :func:`construct_prices` picks the route
+from the density itself; :func:`solve_quadratic` checks the conditions
+first and proves nonexistence where they fail.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scenario import (
 from .stoch import (
     _bracket,
     _check_martingale,
+    _vanishing,
     is_martingale,
     martingale_from_terminal,
     restarted_exponential,
@@ -35,21 +38,14 @@ from .tree import FiltrationTree
 __all__ = [
     "AggregateState",
     "EquilibriumReport",
-    "NonexistenceError",
     "aggregate",
-    "construct_regular",
-    "construct_degenerate",
+    "construct_prices",
     "check_necessary_conditions",
-    "clearing_residual",
     "individual_optimal",
     "representative_check",
     "verify_equilibrium",
     "solve_quadratic",
 ]
-
-
-class NonexistenceError(ValueError):
-    """Raised when a necessary existence condition provably fails."""
 
 
 @dataclass(frozen=True)
@@ -111,13 +107,18 @@ def _density_martingales(tree, h_bar, dividends, *more):
     return np.ascontiguousarray(mart[:, 0]), mart[:, 1:d2 + 1], mart[:, d2 + 1:]
 
 
-def _financial_prices(tree, s0_fin, m_fin, z_bar, tol, degenerate):
-    """Martingale part plus the equilibrium drift -d<Z, M> / Z.  In the
-    degenerate variant the drift increment is switched off wherever the
-    density vanishes."""
-    alive = np.abs(z_bar) > tol
-    if not degenerate and not np.all(alive[tree.nonterminal()]):
-        raise ValueError("density process vanishes; use the degenerate construction")
+def _restarted(z_bar, tol: float) -> bool:
+    """Whether the density vanishes at some node, so that prices take the
+    restarted construction.  A density holding a NaN keeps the closed
+    form."""
+    dead, alive = _vanishing(z_bar, tol)
+    return bool(np.any(dead) and np.all(dead | alive))
+
+
+def _financial_prices(tree, s0_fin, m_fin, z_bar, tol):
+    """Martingale part plus the equilibrium drift -d<Z, M> / Z; the drift
+    increment is switched off wherever the density vanishes."""
+    alive = _vanishing(z_bar, tol)[1]
     da = np.zeros_like(m_fin)
     np.divide(-_bracket(tree, z_bar[:, None], m_fin), z_bar[:, None], out=da,
               where=alive[:, None])
@@ -132,7 +133,7 @@ def _productive_prices_degenerate(tree, dividends, z_bar, tol):
     density at that node."""
     z_prev = z_bar[tree.parent[1:]]
     growth = np.ones(tree.n_nodes)
-    np.divide(z_bar[1:], z_prev, out=growth[1:], where=np.abs(z_prev) > tol)
+    np.divide(z_bar[1:], z_prev, out=growth[1:], where=_vanishing(z_prev, tol)[1])
     prices = np.zeros((tree.n_nodes, dividends.shape[1]))
     prices[tree.leaves] = dividends
     for lvl in reversed(tree.nodes_at[:-1]):
@@ -141,54 +142,27 @@ def _productive_prices_degenerate(tree, dividends, z_bar, tol):
 
 
 def construct_prices(
-    tree: FiltrationTree,
-    s0_fin,
-    m_fin,
-    dividends,
-    h_bar,
-    tol: float = DEFAULT_TOL,
-    degenerate: bool = False,
-    z_bar=None,
-    num=None,
+    s: Scenario, tol: float = DEFAULT_TOL, agg: AggregateState | None = None
 ) -> np.ndarray:
-    """Equilibrium price system for a given aggregate payoff ``h_bar``.
-    A caller that has the density martingale ``z_bar`` and the productive
-    numerators ``num`` of ``h_bar`` (see :class:`AggregateState`) passes
-    them on; otherwise they are computed here."""
-    if z_bar is None:
-        z_bar, num, _ = _density_martingales(tree, h_bar, dividends)
-    m_fin = np.asarray(m_fin, dtype=float).reshape(tree.n_nodes, -1)
-    d1 = m_fin.shape[1]
+    """Equilibrium price system of ``s``: in closed form where the density
+    never vanishes, else by the restarted construction, which gives
+    equilibrium prices only where :func:`check_necessary_conditions`
+    passes.  ``agg`` is :func:`aggregate` of ``s`` if the caller has it;
+    the linear mean-variance solver passes that of its fixed-point risk
+    tolerance."""
+    agg = aggregate(s) if agg is None else agg
+    tree, z_bar = s.tree, agg.z_bar
     blocks = []
-    if d1 > 0:
-        for j in range(d1):
-            _check_martingale(tree, m_fin[:, j], tol, f"m[{j}]")
-        blocks.append(
-            _financial_prices(
-                tree, np.asarray(s0_fin, float), m_fin, z_bar, tol, degenerate
-            )
-        )
-    dividends = np.asarray(dividends, dtype=float).reshape(tree.n_leaves, -1)
-    if dividends.shape[1] > 0:
-        if degenerate:
-            blocks.append(_productive_prices_degenerate(tree, dividends, z_bar, tol))
+    if s.d1 > 0:
+        for j in range(s.d1):
+            _check_martingale(tree, s.m_fin[:, j], tol, f"m[{j}]")
+        blocks.append(_financial_prices(tree, s.s0_fin, s.m_fin, z_bar, tol))
+    if s.d2 > 0:
+        if _restarted(z_bar, tol):
+            blocks.append(_productive_prices_degenerate(tree, s.dividends, z_bar, tol))
         else:
-            if np.min(np.abs(z_bar)) <= tol:
-                raise ValueError(
-                    "density process vanishes; use the degenerate construction"
-                )
-            blocks.append(num / z_bar[:, None])
+            blocks.append(agg.num / z_bar[:, None])
     return np.hstack(blocks)
-
-
-def construct_regular(s: Scenario, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Closed-form equilibrium prices; requires the density process to be
-    bounded away from zero at every node."""
-    agg = aggregate(s)
-    if np.min(np.abs(agg.z_bar)) <= tol:
-        raise ValueError("density process vanishes; use the degenerate construction")
-    return construct_prices(s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol,
-                            False, agg.z_bar, agg.num)
 
 
 def check_necessary_conditions(
@@ -201,7 +175,7 @@ def check_necessary_conditions(
     cond_xi: list[tuple[int, int, float]] = []
     cond_g: list[tuple[int, int, float]] = []
 
-    dead = np.abs(agg.z_bar) <= tol
+    dead = _vanishing(agg.z_bar, tol)[0]
     dead[tree.leaves] = False
 
     if s.d1 > 0:
@@ -234,22 +208,6 @@ def restart_martingale_failures(
         if not is_martingale(tree, rexp, tol)[1]:
             bad.append(start)
     return bad
-
-
-def construct_degenerate(s: Scenario, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Equilibrium prices that remain valid when the density process hits
-    zero.  Raises :class:`NonexistenceError` if the necessary conditions
-    fail."""
-    agg = aggregate(s)
-    cond = check_necessary_conditions(s, tol, agg)
-    if not cond["passed"]:
-        failed = "xi" if cond["cond_xi_failures"] else "dividend"
-        raise NonexistenceError(
-            f"necessary condition on the {failed} side fails where the "
-            "density process vanishes"
-        )
-    return construct_prices(s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol,
-                            True, agg.z_bar, agg.num)
 
 
 def _full_eta(s: Scenario, k: int) -> np.ndarray:
@@ -325,6 +283,22 @@ def clearing_residual(s: Scenario, prices, strategies) -> float:
     return float(np.max(np.abs(gains[:, 0] - gains[:, 1])))
 
 
+def _clearing_verdict(clearing: float, tol: float) -> tuple[str, str]:
+    """Verdict and reason that the clearing residual ``clearing`` gives."""
+    if clearing <= tol:
+        return "Equilibrium", ""
+    return "NotEquilibrium", "clearing fails"
+
+
+def _terminal_gap(s: Scenario, prices: np.ndarray) -> float:
+    """Largest gap between the productive assets' terminal prices and
+    their dividends (0 without productive assets); ``prices`` has one row
+    per node."""
+    if s.d2 == 0:
+        return 0.0
+    return float(np.max(np.abs(prices[s.tree.leaves, s.d1:] - s.dividends)))
+
+
 def representative_check(
     s: Scenario, prices, tol: float = DEFAULT_TOL
 ) -> tuple[float, bool]:
@@ -352,8 +326,7 @@ def verify_equilibrium(
     agg = aggregate(s) if agg is None else agg
 
     # structural checks: terminal dividends and given martingale parts
-    term = prices[tree.leaves, s.d1:]
-    if s.d2 > 0 and np.max(np.abs(term - s.dividends)) > tol:
+    if _terminal_gap(s, prices) > tol:
         return EquilibriumReport(
             verdict="NotEquilibrium",
             reason="terminal prices do not match the dividends",
@@ -389,8 +362,7 @@ def verify_equilibrium(
         res, _ = is_martingale(tree, agg.z_bar * prices[:, j], np.inf)
         mart_res = max(mart_res, res)
 
-    verdict = "Equilibrium" if clearing <= tol else "NotEquilibrium"
-    reason = "" if clearing <= tol else "clearing fails"
+    verdict, reason = _clearing_verdict(clearing, tol)
     return EquilibriumReport(
         verdict=verdict,
         reason=reason,
@@ -404,12 +376,11 @@ def verify_equilibrium(
 
 
 def solve_quadratic(s: Scenario, tol: float = DEFAULT_TOL) -> EquilibriumReport:
-    """Construct the quadratic equilibrium (regular or degenerate) and
+    """Construct the quadratic equilibrium (closed form or restarted) and
     verify it; prove nonexistence when the necessary conditions fail."""
     agg = aggregate(s)
     diagnostics: dict = {}
-    degenerate = np.min(np.abs(agg.z_bar)) <= tol
-    if degenerate:
+    if _restarted(agg.z_bar, tol):
         cond = check_necessary_conditions(s, tol, agg)
         diagnostics["necessary_conditions"] = cond
         if not cond["passed"]:
@@ -426,8 +397,7 @@ def solve_quadratic(s: Scenario, tol: float = DEFAULT_TOL) -> EquilibriumReport:
         diagnostics["restart_martingale_failures"] = restart_martingale_failures(
             s.tree, agg.z_bar, tol
         )
-    prices = construct_prices(s.tree, s.s0_fin, s.m_fin, s.dividends, agg.h_bar, tol,
-                              degenerate, agg.z_bar, agg.num)
+    prices = construct_prices(s, tol, agg)
     report = verify_equilibrium(s, prices, tol, agg)
     report.diagnostics.update(diagnostics)
     return report

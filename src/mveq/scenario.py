@@ -16,12 +16,14 @@ import numpy as np
 from .tree import FiltrationTree
 
 __all__ = [
+    "DEFAULT_TOL",
     "Quadratic",
     "LinearMV",
     "AgentSpec",
     "Scenario",
     "validate_scenario",
     "total_endowment",
+    "aggregate_endowment",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -114,6 +116,12 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list[str]:
     violations: list[str] = []
     tree = s.tree
 
+    # a NaN fails no comparison, so non-finite data would pass the checks
+    # below and reach the solvers
+    for name, values in (("leaf_probs", tree.leaf_probs), ("s0_fin", s.s0_fin),
+                         ("m_fin", s.m_fin), ("dividends", s.dividends)):
+        if not np.all(np.isfinite(values)):
+            violations.append(f"{name} must be finite")
     if np.any(tree.leaf_probs <= 0):
         violations.append("leaf probabilities must be strictly positive")
     if abs(tree.leaf_probs.sum() - 1.0) > tol:
@@ -146,5 +154,10 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list[str]:
             violations.append(f"agent {k}: xi_n must have one value per leaf")
         if isinstance(agent.preference, LinearMV) and agent.preference.lam <= 0:
             violations.append(f"agent {k}: lambda must be positive")
+        pref = agent.preference
+        param = ("lambda", pref.lam) if isinstance(pref, LinearMV) else ("gamma", pref.gamma)
+        for name, values in (("eta2", agent.eta2), ("xi_n", agent.xi_n), param):
+            if not np.all(np.isfinite(values)):
+                violations.append(f"agent {k}: {name} must be finite")
 
     return violations

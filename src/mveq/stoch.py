@@ -51,6 +51,14 @@ def _check_martingale(tree, x, tol, name):
         raise ValueError(f"{name} is not a martingale (max drift {res!r})")
 
 
+def _vanishing(z, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The vanishing-density cut: where ``|z| <= tol`` (the density is
+    taken for zero) and where ``|z| > tol`` (it may be divided by).  A NaN
+    is in neither set."""
+    size = np.abs(z)
+    return size <= tol, size > tol
+
+
 def _bracket(tree: FiltrationTree, a, b) -> np.ndarray:
     """E[da db | F_n] at every node, 0 at the leaves; ``a`` and ``b``
     broadcast against each other like their increments."""
@@ -102,7 +110,7 @@ def restarted_exponential(
     z = np.asarray(z, dtype=float)
     z_prev = z[tree.parent[1:]]
     ratio = np.zeros(tree.n_nodes - 1)
-    np.divide(z[1:] - z_prev, z_prev, out=ratio, where=np.abs(z_prev) > tol)
+    np.divide(z[1:] - z_prev, z_prev, out=ratio, where=_vanishing(z_prev, tol)[1])
     out = np.where(tree.time < s, np.nan, 1.0)
     later = tree.time[1:] > s
     out[1:][later] = 1.0 + ratio[later]

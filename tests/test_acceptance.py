@@ -18,8 +18,7 @@ from mveq import (
     aggregate_endowment,
     agent_frontier,
     c_of_H_formula,
-    construct_degenerate,
-    construct_regular,
+    construct_prices,
     martingale_from_terminal,
     opportunity_process,
     representative_check,
@@ -85,7 +84,7 @@ def test_criterion_3_financial_drift(scen_d):
 
 def test_criterion_4_degenerate_suite(scen_c, scen_c_prime):
     assert solve_quadratic(scen_c_prime).verdict == "NonexistenceProven"
-    prices = construct_degenerate(scen_c)
+    prices = construct_prices(scen_c)
     assert prices[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert verify_equilibrium(scen_c, prices).verdict == "Equilibrium"
     alt = prices.copy()
@@ -134,7 +133,7 @@ def test_criterion_5_random_quadratic_suite():
         if len(s.agents) > 1:
             resplit = _resplit_gammas(s, seed)
             assert (
-                np.max(np.abs(construct_regular(resplit) - report.prices)) <= 1e-10
+                np.max(np.abs(construct_prices(resplit) - report.prices)) <= 1e-10
             ), f"seed {seed}"
     assert time.perf_counter() - t0 < 60.0
 
@@ -204,7 +203,7 @@ def test_criterion_7_hedging_identities(cancel_tree_prices):
     # linearity at the gains-path level and the closed-form constant
     for seed in range(10):
         s = _quadratic_suite_scenario(seed)
-        prices = construct_regular(s)
+        prices = construct_prices(s)
         tree = s.tree
         h1 = rng.uniform(-2, 2, tree.n_leaves)
         h2 = rng.uniform(-2, 2, tree.n_leaves)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mveq import (
 )
 from mveq.cli import main
 from mveq.generate import generate_random_scenario
-from mveq.quadratic import construct_regular
+from mveq.quadratic import construct_prices
 
 
 def write_scenario(path, s, prices=None):
@@ -43,12 +44,40 @@ def test_round_trip(kind, tmp_path):
     assert prices is None
     assert_same_scenario(s, parsed)
     # and through a file, with a price block attached
-    p = construct_regular(s) if kind == "quadratic" else None
+    p = construct_prices(s) if kind == "quadratic" else None
     if p is not None:
         path = write_scenario(tmp_path / "s.json", s, p)
         loaded, loaded_prices = load_scenario(path)
         assert_same_scenario(s, loaded)
         np.testing.assert_array_equal(loaded_prices, p)
+
+
+def malformed(doc, path, value):
+    """Copy of ``doc`` with the field at ``path`` (a list of keys and
+    indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+MALFORMED = [
+    (["d1"], [0], "'d1'"),
+    (["d1"], "x", "'d1'"),
+    (["d2"], None, "'d2'"),
+    (["agents"], 5, "'agents'"),
+    (["agents"], [5], "'agents[0]'"),
+    (["agents", 0, "preference"], "quadratic", "'agents[0].preference'"),
+    (["agents", 0, "preference", "gamma"], "abc", "'agents[0].preference.gamma'"),
+    (["agents", 0, "preference", "gamma"], [1.0], "'agents[0].preference.gamma'"),
+    (["agents", 0, "eta2"], [[1.0], [1.0, 2.0]], "'agents[0].eta2'"),
+    (["agents", 0, "xi_n"], [[0.0], [0.0, 1.0]], "'agents[0].xi_n'"),
+    (["agents", 0, "xi_n"], {"a": 1}, "'agents[0].xi_n'"),
+    (["dividends"], {"a": 1}, "'dividends'"),
+    (["tree"], [1], "'tree'"),
+]
 
 
 def test_parse_errors(scen_a, tmp_path):
@@ -70,6 +99,10 @@ def test_parse_errors(scen_a, tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_scenario(str(bad))
+    # a field of the wrong type, or whose value does not convert, is named
+    for path, value, field in MALFORMED:
+        with pytest.raises(ParseError, match=re.escape(field)):
+            parse_scenario(malformed(doc, path, value))
 
 
 def test_report_serialisation(coin_tree):
@@ -133,6 +166,11 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_cli(["solve-quadratic", "--input", str(bad)]) == 1
+    capsys.readouterr()
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps(malformed(emit_scenario(small), ["d1"], "x")))
+    assert run_cli(["solve-linear-mv", "--input", str(wrong)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: bad field 'd1'")
 
     # validation error -> exit 2
     doc = emit_scenario(small)
@@ -141,6 +179,12 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
     invalid.write_text(json.dumps(doc))
     assert run_cli(["solve-linear-mv", "--input", str(invalid)]) == 2
     capsys.readouterr()
+    # a NaN passes every comparison but the finiteness check -> exit 2
+    doc = emit_scenario(small)
+    doc["tree"]["leaf_probs"] = [float("nan"), 0.5]
+    invalid.write_text(json.dumps(doc))
+    assert run_cli(["solve-linear-mv", "--input", str(invalid)]) == 2
+    assert "leaf_probs must be finite" in capsys.readouterr().err
 
 
 def test_cli_loads_scenario_once(scen_a, tmp_path, capsys, monkeypatch):
@@ -173,10 +217,16 @@ def test_cli_verify_non_uniqueness(scen_c, tmp_path, capsys):
 def test_cli_verify_requires_prices_and_terminal_match(scen_a, tmp_path, capsys):
     path = write_scenario(tmp_path / "nop.json", scen_a)
     assert run_cli(["verify", "--input", path]) == 2
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     prices[1, 0] = 5.0  # contradicts the dividend
     path = write_scenario(tmp_path / "badterm.json", scen_a, prices)
     assert run_cli(["verify", "--input", path]) == 2
+    prices = construct_prices(scen_a)
+    prices[0, 0] = float("nan")
+    path = write_scenario(tmp_path / "nan.json", scen_a, prices)
+    capsys.readouterr()
+    assert run_cli(["verify", "--input", path]) == 2
+    assert capsys.readouterr().err == "validation error: prices must be finite\n"
 
 
 def test_cli_check_conditions(scen_c_prime, tmp_path, capsys):

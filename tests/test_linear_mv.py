@@ -6,6 +6,7 @@ import pytest
 from mveq import (
     AgentSpec,
     LinearMV,
+    Quadratic,
     Scenario,
     agent_frontier,
     aggregate_endowment,
@@ -13,6 +14,7 @@ from mveq import (
     mv_efficiency_check,
     optimal_mv_strategy,
     solve_linear_mv,
+    solve_quadratic,
     stoch_integral,
     total_endowment,
     verify_fixed_point,
@@ -253,3 +255,35 @@ def test_dominance_against_random_competitors(scen_b):
     for _ in range(200):
         comp = rng.uniform(-3, 3, size=theta.shape)
         assert score(comp) <= best + 1e-10
+
+
+@pytest.mark.parametrize("shape", [
+    dict(horizon=3, branching=3, d1=1, d2=1, n_agents=3),
+    dict(horizon=2, branching=3, d1=2, d2=2, n_agents=2),
+], ids=["h3-b3-d1-d1-k3", "h2-b3-d2-d2-k2"])
+def test_linear_mv_is_quadratic_at_fixed_point_tolerances(shape):
+    # a linear mean-variance equilibrium is the quadratic equilibrium of the
+    # same market whose agents' risk tolerances are gamma_k = c_k + lam_k/ell
+    solved = 0
+    for seed in range(40):
+        s = generate_random_scenario(seed, preference_kind="linear_mv", **shape)
+        lin = solve_linear_mv(s)
+        if not lin.exists:
+            continue
+        quad = Scenario(
+            tree=s.tree, d1=s.d1, d2=s.d2, s0_fin=s.s0_fin, m_fin=s.m_fin,
+            dividends=s.dividends,
+            agents=[AgentSpec(a.eta2, a.xi_n, Quadratic(c + a.preference.lam / lin.ell))
+                    for a, c in zip(s.agents, lin.c_k)],
+        )
+        report = solve_quadratic(quad)
+        assert report.verdict == "Equilibrium", seed
+        scale = max(1.0, float(np.max(np.abs(lin.prices))))
+        np.testing.assert_allclose(report.prices, lin.prices, rtol=0, atol=1e-12 * scale)
+        gains = [stoch_integral(s.tree, theta, lin.prices)
+                 for theta in (*lin.strategies, *report.agent_strategies)]
+        k = len(s.agents)
+        for a, b in zip(gains[:k], gains[k:]):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-11 * scale)
+        solved += 1
+    assert solved > 0

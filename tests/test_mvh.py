@@ -18,7 +18,7 @@ from mveq.generate import generate_random_scenario, random_tree
 from mveq import mvh
 from mveq.mvh import GainsOperator, _as_operator
 from mveq.scenario import DEFAULT_TOL
-from mveq.quadratic import construct_regular, aggregate
+from mveq.quadratic import construct_prices, aggregate
 
 from dense_oracle import DenseGains
 
@@ -26,7 +26,7 @@ from dense_oracle import DenseGains
 def random_market(seed, horizon=2):
     s = generate_random_scenario(seed, horizon=horizon, branching=3, d1=1, d2=1,
                                  n_agents=2, preference_kind="quadratic")
-    return s.tree, construct_regular(s), s
+    return s.tree, construct_prices(s), s
 
 
 def leaf_gains(tree, theta, prices):
@@ -179,7 +179,7 @@ def test_solve_mvh_zero_and_attainable(coin_tree):
 
 
 def test_zero_hedge_at_equilibrium(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     h_bar = aggregate(scen_a).h_bar  # (8, 9)
     sol = solve_mvh(scen_a.tree, prices, h_bar)
     np.testing.assert_allclose(sol.theta, 0.0, atol=1e-12)
@@ -269,7 +269,7 @@ def test_pure_investment_oracles(scen_a, scen_b):
     from mveq.linear_mv import solve_linear_mv
 
     # one-period oracle: ell = 1 - E[dS]^2 / E[dS^2]
-    _, ell_a = pure_investment(scen_a.tree, construct_regular(scen_a))
+    _, ell_a = pure_investment(scen_a.tree, construct_prices(scen_a))
     assert ell_a == pytest.approx(289 / 290, abs=1e-12)
     _, ell_b = pure_investment(scen_b.tree, solve_linear_mv(scen_b).prices)
     assert ell_b == pytest.approx(0.8, abs=1e-12)
@@ -297,7 +297,7 @@ def test_uniqueness_of_values(coin_tree):
 
 
 def test_zero_solves_mvh_iff(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     h_bar = aggregate(scen_a).h_bar
     res = zero_solves_mvh_iff(scen_a.tree, prices, h_bar)
     assert res == {"zero_optimal": True, "zs_martingale": True}

@@ -9,8 +9,7 @@ from mveq import (
     Scenario,
     aggregate,
     check_necessary_conditions,
-    construct_degenerate,
-    construct_regular,
+    construct_prices,
     individual_optimal,
     is_martingale,
     representative_check,
@@ -19,7 +18,11 @@ from mveq import (
     verify_equilibrium,
 )
 from mveq import generate
-from mveq.quadratic import NonexistenceError, restart_martingale_failures
+from mveq.quadratic import (
+    _financial_prices,
+    _productive_prices_degenerate,
+    restart_martingale_failures,
+)
 from mveq.generate import generate_random_scenario
 
 
@@ -51,13 +54,13 @@ def test_aggregate_rejects_mixed_preferences(scen_a, scen_b):
 
 
 def test_construct_regular_scen_a(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     assert prices[0, 0] == pytest.approx(25 / 17, abs=1e-12)
     np.testing.assert_allclose(prices[scen_a.tree.leaves, 0], [2.0, 1.0])
 
 
 def test_construct_regular_scen_d(scen_d):
-    prices = construct_regular(scen_d)
+    prices = construct_prices(scen_d)
     # drift dA = -xi * E[dM^2] / Z0 = 1/2 on top of the martingale part
     np.testing.assert_allclose(prices[:, 0], [0.0, 1.5, -0.5], atol=1e-12)
 
@@ -68,7 +71,7 @@ def test_construct_regular_deterministic_endowment(coin_tree):
         dividends=np.array([[2.0], [1.0]]),
         agents=[AgentSpec(eta2=[0.0], xi_n=[1.0, 1.0], preference=Quadratic(5.0))],
     )
-    prices = construct_regular(s)
+    prices = construct_prices(s)
     assert prices[0, 0] == pytest.approx(1.5)  # martingale price E[D]
 
 
@@ -82,11 +85,6 @@ def test_solve_rejects_a_financial_part_that_is_not_a_martingale(scen_d):
             call(bad)
 
 
-def test_construct_regular_requires_nonvanishing_density(scen_c):
-    with pytest.raises(ValueError, match="degenerate"):
-        construct_regular(scen_c)
-
-
 def test_necessary_conditions(scen_a, scen_c, scen_c_prime):
     assert check_necessary_conditions(scen_a)["passed"]  # vacuous
     assert check_necessary_conditions(scen_c)["passed"]
@@ -98,25 +96,26 @@ def test_necessary_conditions(scen_a, scen_c, scen_c_prime):
 
 
 def test_construct_degenerate_matches_regular(scen_a, scen_d):
+    # the restarted construction, built directly, agrees with the closed
+    # form where the density never vanishes
     for s in (scen_a, scen_d):
-        np.testing.assert_allclose(
-            construct_degenerate(s), construct_regular(s), atol=1e-12
-        )
+        z_bar, tol = aggregate(s).z_bar, DEFAULT_TOL
+        blocks = []
+        if s.d1 > 0:
+            blocks.append(_financial_prices(s.tree, s.s0_fin, s.m_fin, z_bar, tol))
+        if s.d2 > 0:
+            blocks.append(_productive_prices_degenerate(s.tree, s.dividends, z_bar, tol))
+        np.testing.assert_allclose(np.hstack(blocks), construct_prices(s), atol=1e-12)
 
 
 def test_construct_degenerate_scen_c(scen_c):
-    prices = construct_degenerate(scen_c)
+    prices = construct_prices(scen_c)
     assert prices[0, 0] == pytest.approx(1.0)
     assert not restart_martingale_failures(scen_c.tree, aggregate(scen_c).z_bar)
 
 
-def test_construct_degenerate_rejects_scen_c_prime(scen_c_prime):
-    with pytest.raises(NonexistenceError):
-        construct_degenerate(scen_c_prime)
-
-
 def test_individual_optimal_scen_a(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     theta, report = individual_optimal(scen_a, prices, 0)
     # single agent holds the supply; hedge part vanishes at equilibrium
     np.testing.assert_allclose(theta[0], [1.0], atol=1e-12)
@@ -124,13 +123,13 @@ def test_individual_optimal_scen_a(scen_a):
 
 
 def test_individual_optimal_scen_d(scen_d):
-    prices = construct_regular(scen_d)
+    prices = construct_prices(scen_d)
     theta, _ = individual_optimal(scen_d, prices, 0)
     np.testing.assert_allclose(theta[0], [0.0], atol=1e-12)
 
 
 def test_representative_check_on_split(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     split = Scenario(
         tree=scen_a.tree, d1=0, d2=1, s0_fin=np.zeros(0), m_fin=np.zeros((3, 0)),
         dividends=scen_a.dividends,
@@ -139,13 +138,13 @@ def test_representative_check_on_split(scen_a):
             AgentSpec(eta2=[0.0], xi_n=[0.0, 0.0], preference=Quadratic(6.0)),
         ],
     )
-    np.testing.assert_allclose(construct_regular(split), prices, atol=1e-12)
+    np.testing.assert_allclose(construct_prices(split), prices, atol=1e-12)
     residual, ok = representative_check(split, prices)
     assert ok and residual <= 1e-10
 
 
 def test_verify_accepts_constructed_and_rejects_perturbed(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     assert verify_equilibrium(scen_a, prices).verdict == "Equilibrium"
     for bump in (0.05, -0.05):
         perturbed = prices.copy()
@@ -156,7 +155,7 @@ def test_verify_accepts_constructed_and_rejects_perturbed(scen_a):
 
 
 def test_verify_rejects_wrong_terminal_prices(scen_a):
-    prices = construct_regular(scen_a)
+    prices = construct_prices(scen_a)
     bad = prices.copy()
     bad[1, 0] = 3.0
     report = verify_equilibrium(scen_a, bad)
@@ -165,7 +164,7 @@ def test_verify_rejects_wrong_terminal_prices(scen_a):
 
 
 def test_verify_rejects_wrong_martingale_part(scen_d):
-    prices = construct_regular(scen_d)
+    prices = construct_prices(scen_d)
     bad = prices.copy()
     bad[1, 0] += 0.3  # breaks the increment structure of M + drift
     report = verify_equilibrium(scen_d, bad)
@@ -203,7 +202,7 @@ def test_solve_quadratic_checks_conditions_once(scen_c, monkeypatch):
     report = solve_quadratic(scen_c)
     assert report.verdict == "Equilibrium"
     assert calls == [scen_c]
-    np.testing.assert_array_equal(report.prices, construct_degenerate(scen_c))
+    np.testing.assert_array_equal(report.prices, construct_prices(scen_c))
 
 
 def test_falsification_sweep_when_nonexistent(scen_c_prime):
@@ -221,7 +220,7 @@ def test_zs_martingale_on_constructed_equilibria():
     for seed in range(5):
         s = generate_random_scenario(seed, horizon=3, branching=3, d1=1, d2=2,
                                      n_agents=2, preference_kind="quadratic")
-        prices = construct_regular(s)
+        prices = construct_prices(s)
         z = aggregate(s).z_bar
         for j in range(s.d):
             assert is_martingale(s.tree, z * prices[:, j], 1e-8)[1]
@@ -241,7 +240,7 @@ def test_drift_independent_of_integrand_representative(coin_tree):
             m_fin=m[:, order], dividends=div,
             agents=[AgentSpec(eta2=[], xi_n=[3.0, 1.0], preference=Quadratic(4.0))],
         )
-        return construct_regular(s)[:, np.argsort(order)]
+        return construct_prices(s)[:, np.argsort(order)]
 
     np.testing.assert_allclose(build([0, 1]), build([1, 0]), atol=1e-12)
 

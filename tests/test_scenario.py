@@ -95,3 +95,36 @@ def test_aggregate_endowment_sums_agents(coin_tree):
         total_endowment(s, 0) + total_endowment(s, 1),
     )
     np.testing.assert_allclose(s.eta_bar(), [1.5])
+
+
+def replaced(s, **fields):
+    """``s`` with some primitives or agent-0 fields replaced."""
+    agent = s.agents[0]
+    agent = AgentSpec(eta2=fields.pop("eta2", agent.eta2),
+                      xi_n=fields.pop("xi_n", agent.xi_n),
+                      preference=fields.pop("preference", agent.preference))
+    tree = fields.pop("tree", s.tree)
+    args = dict(tree=tree, d1=s.d1, d2=s.d2, s0_fin=s.s0_fin, m_fin=s.m_fin,
+                dividends=s.dividends, agents=[agent, *s.agents[1:]])
+    args.update(fields)
+    return Scenario(**args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detects_non_finite_data(scen_a, scen_b, scen_d, bad):
+    with np.errstate(invalid="ignore"):  # inf / inf conditional probabilities
+        tree = one_period_tree((bad, 0.5))
+    cases = [
+        (replaced(scen_a, tree=tree), "leaf_probs must be finite"),
+        (replaced(scen_d, s0_fin=np.array([bad])), "s0_fin must be finite"),
+        (replaced(scen_d, m_fin=np.array([[0.0], [bad], [-1.0]])), "m_fin must be finite"),
+        (replaced(scen_a, dividends=np.array([[bad], [1.0]])), "dividends must be finite"),
+        (replaced(scen_a, eta2=np.array([bad])), "agent 0: eta2 must be finite"),
+        (replaced(scen_a, xi_n=np.array([0.0, bad])), "agent 0: xi_n must be finite"),
+        (replaced(scen_a, preference=Quadratic(bad)), "agent 0: gamma must be finite"),
+        (replaced(scen_b, preference=LinearMV(bad)), "agent 0: lambda must be finite"),
+    ]
+    for s, message in cases:
+        assert message in validate_scenario(s), message
+    for s in (scen_a, scen_b, scen_d):
+        assert validate_scenario(s) == []

@@ -385,7 +385,7 @@ def test_price_constructions_match_loops(tree):
     m = np.column_stack([martingale(tree, rng) for _ in range(2)])
     m -= m[0]
     s0 = np.array([1.0, 2.0])
-    assert_close(_financial_prices(tree, s0, m, z, TOL, True),
+    assert_close(_financial_prices(tree, s0, m, z, TOL),
                  loop_financial_prices(tree, s0, m, z, TOL))
     div = rng.uniform(0, 3, (tree.n_leaves, 2))
     assert_close(_productive_prices_degenerate(tree, div, z, TOL),
