@@ -41,9 +41,11 @@ and hands out read-only arrays.  :meth:`GainsOperator.hedges` and
 endowment, reuse the sweep the solve's hedge ran.
 
 The Galtchouk-Kunita-Watanabe decomposition of a martingale against
-reference martingales is the hedge with those martingales as prices:
-there ``beta`` is 0 and ``L`` is 1, so ``xi`` is the least-norm integrand
-of the local projection (Schweizer 1995; Cerny and Kallsen 2007).
+reference martingales is the hedge with those martingales as prices
+taken with ``beta = 0`` and ``L = 1``: ``xi`` is the least-norm integrand
+of the local projection (Schweizer 1995; Cerny and Kallsen 2007).  It
+runs that projection itself rather than on an engine, which would read
+the round-off in ``E[dM]`` as a drift.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ __all__ = [
 RCOND = 1e-10
 # values of the opportunity process treated as 0
 L_CUT = RCOND**2
+# gkw_decompose's cut, relative to the scale of the reference values: per
+# unit of dz, a kept direction of size s adds a drift of about eps * scale
+# / s and a cut one leaves a bracket of s, or s / scale relative to that
+# scale; the two meet at s = sqrt(eps) * scale
+GKW_RCOND = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -489,13 +496,38 @@ def gkw_decompose(
     tree: FiltrationTree, z, m, tol: float = DEFAULT_TOL
 ) -> GkwDecomposition:
     """Orthogonal decomposition of the martingale ``z`` against the columns
-    of ``m`` (shape ``(n_nodes, d1)``): the hedge of ``z``'s terminal value
-    on the engine of ``m``.  Where the increments of ``m`` are linearly
-    dependent, ``xi`` is the least-norm integrand."""
+    of ``m`` (shape ``(n_nodes, d1)``).
+
+    Per node, the increment of ``z`` is projected onto the span of the
+    reference increments in the conditional inner product: ``xi_n =
+    pinv(X_n) (sqrt(p) dz)`` with ``X_n = diag(sqrt(p_c)) dM_c``, one
+    stacked SVD per level.  Singular values up to ``GKW_RCOND`` times the
+    node's scale, the largest ``|m|`` at the node and its children, are
+    cut: increments that small are mostly the round-off of ``m``'s values,
+    and ``xi`` would carry that round-off into the residual as a drift.
+    Where the increments are linearly dependent, ``xi`` is the least-norm
+    integrand."""
     z = np.asarray(z, dtype=float)
     m = _price_matrix(m)
     _check_martingale(tree, z, tol, "z")
     for j in range(m.shape[1]):
         _check_martingale(tree, m[:, j], tol, f"m[{j}]")
-    xi = _as_operator(tree, m).hedge(z[tree.leaves], tol).theta
+    n = tree.n_nodes
+    # index n pads the child tables: probability 0, no step, scale 0
+    sp = np.zeros(n + 1)
+    sp[:n] = np.sqrt(tree.cond_prob)
+    dz = np.zeros(n + 1)
+    dz[:n] = tree.increments(z)
+    dm = np.zeros((n + 1, m.shape[1]))
+    dm[:n] = tree.increments(m)
+    size = np.zeros(n + 1)
+    size[:n] = np.abs(m).max(axis=1, initial=0.0)
+    xi = np.zeros(m.shape)
+    for nodes, kids in tree.child_table():
+        w = sp[kids]
+        u, sv, vt = np.linalg.svd(w[:, :, None] * dm[kids], full_matrices=False)
+        scale = np.maximum(size[nodes], size[kids].max(axis=1))
+        keep = sv > GKW_RCOND * scale[:, None]
+        coef = np.einsum("kbr,kb->kr", u, w * dz[kids]) * keep / np.where(keep, sv, 1.0)
+        xi[nodes] = np.einsum("krd,kr->kd", vt, coef)
     return GkwDecomposition(xi, z - z[0] - stoch_integral(tree, xi, m), float(z[0]))

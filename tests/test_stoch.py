@@ -154,6 +154,31 @@ def test_gkw_reconstruction_and_orthogonality(xz, x1, x2):
             )
 
 
+@pytest.mark.parametrize(
+    "x1",
+    [
+        # two equal leaves under node 3: its increments are round-off
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.6110393588425255, 0.6110393588425255, 0.0],
+        # a leaf at 2.2e-16 under node 2, below the round-off of m's values
+        [0.0, 0.0, 0.0, 0.0, 2.220446049250313e-16, 0.0, 1.0, 0.0],
+    ],
+    ids=["equal-leaves", "ulp-leaf"],
+)
+def test_gkw_cuts_round_off_increments(x1):
+    tree = two_period_tree()
+    z = martingale_from_terminal(tree, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    m = martingale_from_terminal(tree, np.resize(x1, tree.n_leaves))
+    m = np.column_stack([m - m[0], np.zeros(tree.n_nodes)])
+    dec = gkw_decompose(tree, z, m)
+    # the exact integrand is at most 1 in size; inverting round-off is not
+    assert np.abs(dec.xi).max() <= 1.0 + 1e-12
+    assert is_martingale(tree, dec.residual, 1e-12)[1]
+    for t in (1, 2):
+        np.testing.assert_allclose(
+            delta_bracket(tree, dec.residual, m[:, 0], t, 1e-7), 0.0, atol=1e-12
+        )
+
+
 def test_gkw_sequential_orthogonality_single_column():
     # with one reference column the hedged part is strongly orthogonal to
     # the residual itself
