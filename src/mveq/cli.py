@@ -108,11 +108,17 @@ def _verify_linear(scenario: Scenario, prices, tol) -> dict:
     return {"verdict": verdict, "reason": reason, "clearing_residual": clearing}
 
 
+def _check_finite(prices) -> None:
+    """A given prices block must be finite: a NaN would pass every
+    comparison and fail later as a solver precondition."""
+    if not np.all(np.isfinite(prices)):
+        raise ValidationFailure("prices must be finite")
+
+
 def cmd_verify(args, scenario: Scenario, prices) -> dict:
     if prices is None:
         raise ValidationFailure("verify needs a 'prices' block in the scenario file")
-    if not np.all(np.isfinite(prices)):
-        raise ValidationFailure("prices must be finite")
+    _check_finite(prices)
     # the terminal condition is a primitive: reject price blocks that
     # disagree with the dividends
     if quadratic._terminal_gap(scenario, prices) > args.tol:
@@ -128,6 +134,8 @@ def cmd_frontier(args, scenario: Scenario, prices) -> dict:
         # the solve command's report, nonexistence verdict included
         solve = cmd_solve_linear_mv if _all_linear(scenario) else cmd_solve_quadratic
         prices = np.array(solve(args, scenario, None)["prices"])
+    else:
+        _check_finite(prices)
     op = _as_operator(scenario.tree, prices)
     out = {"agents": []}
     fronts = linear_mv._frontiers(scenario, op, args.tol)

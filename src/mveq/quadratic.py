@@ -134,11 +134,7 @@ def _productive_prices_degenerate(tree, dividends, z_bar, tol):
     z_prev = z_bar[tree.parent[1:]]
     growth = np.ones(tree.n_nodes)
     np.divide(z_bar[1:], z_prev, out=growth[1:], where=_vanishing(z_prev, tol)[1])
-    prices = np.zeros((tree.n_nodes, dividends.shape[1]))
-    prices[tree.leaves] = dividends
-    for lvl in reversed(tree.nodes_at[:-1]):
-        prices[lvl] = tree.child_mean(growth[:, None] * prices)[lvl]
-    return prices
+    return tree.backward(dividends, growth)
 
 
 def construct_prices(
@@ -229,41 +225,48 @@ def individual_optimal(
     buy-and-hold endowment plus the hedge of the bliss-point shortfall.
 
     The report cross-checks the hedging/pure-investment decomposition
-    whenever the pure-investment error is positive.
+    whenever the pure-investment error is positive: ``c_k`` is the
+    initial constant of the extended hedge of the endowment and
+    ``decomposition_gap`` the largest gap between the gains of the optimum
+    and of ``eta - (hedge of xi_k) + (gamma_k - c_k) theta1``.
     """
-    return _optima(s, _as_operator(s.tree, prices), [k], tol)[0][0]
-
-
-def _optima(s: Scenario, op: GainsOperator, ks, tol: float, extra=None):
-    """:func:`individual_optimal` of the agents ``ks``, plus the hedge of
-    the payoff ``extra`` if given, from one hedge sweep."""
     tree = s.tree
-    gammas = [s.agents[k].preference.gamma for k in ks]
-    xis = [total_endowment(s, k) for k in ks]
+    op = _as_operator(tree, prices)
+    gamma, xi = s.agents[k].preference.gamma, total_endowment(s, k)
     ex = op.unique_values(tol)
-    # hedged from capital 0: the bliss-point shortfalls and ``extra``; with
-    # a free constant: the endowments, where that constant is unique
-    plain = [g - x for g, x in zip(gammas, xis)] + ([] if extra is None else [extra])
-    cols = plain + (xis if ex else [])
-    sols = op.hedges(np.reshape(cols, (-1, tree.n_leaves)).T, tol,
-                     np.arange(len(cols)) >= len(plain))
-
-    out, gaps = [], []
-    for i, k in enumerate(ks):
-        eta = _constant_strategy(tree, _full_eta(s, k))
-        theta = sols[i].theta + eta
-        out.append((theta, {"mvh_sq_error": sols[i].sq_error, "unique": sols[i].unique}))
-        if ex:
-            # theta minus the decomposition
-            # eta - (hedge of xi_k) + (gamma_k - c_k) theta1
-            e = sols[len(plain) + i]
-            gaps.append(theta - (eta - e.theta + (gammas[i] - e.c) * op.theta1))
+    # the shortfall from capital 0; the endowment with a free constant,
+    # where that constant is unique
+    cols = [gamma - xi] + ([xi] if ex else [])
+    sols = op.hedges(np.reshape(cols, (-1, tree.n_leaves)).T, tol, [False, True][:len(cols)])
+    eta = _constant_strategy(tree, _full_eta(s, k))
+    theta = sols[0].theta + eta
+    report = {"mvh_sq_error": sols[0].sq_error, "unique": sols[0].unique}
     if ex:
-        diff = _gains(tree, gaps, op.prices)
-        for i, (_, report) in enumerate(out):
-            report["c_k"] = sols[len(plain) + i].c
-            report["decomposition_gap"] = float(np.max(np.abs(diff[:, i])))
-    return out, (None if extra is None else sols[len(ks)])
+        e = sols[1]
+        gap = theta - (eta - e.theta + (gamma - e.c) * op.theta1)
+        report["c_k"] = e.c
+        report["decomposition_gap"] = float(np.max(np.abs(_gains(tree, [gap], op.prices))))
+    return theta, report
+
+
+def _optima(s: Scenario, op: GainsOperator, tol: float, extra=None):
+    """Every agent's optimum (see :func:`individual_optimal`) and the
+    hedge of the payoff ``extra``, if given, from one hedge sweep: the
+    bliss-point shortfalls (one leaf vector per agent), the hedges of the
+    shortfalls, then of ``extra``, and the optimal strategies."""
+    tree = s.tree
+    short = [a.preference.gamma - total_endowment(s, k) for k, a in enumerate(s.agents)]
+    cols = short + ([] if extra is None else [extra])
+    n = len(cols)
+    # one payoff column would take NumPy's matrix-vector products, whose
+    # round-off differs from the matrix-matrix ones of a batch: a lone
+    # column is hedged twice, so that a lone agent's optimum takes the
+    # same products as every agent's in a larger market
+    sols = op.hedges(np.reshape(cols * 2 if n == 1 else cols, (-1, tree.n_leaves)).T,
+                     tol)[:n]
+    thetas = [sol.theta + _constant_strategy(tree, _full_eta(s, k))
+              for k, sol in enumerate(sols[:len(short)])]
+    return short, sols, thetas
 
 
 def _gains(tree: FiltrationTree, strategies, prices) -> np.ndarray:
@@ -273,14 +276,24 @@ def _gains(tree: FiltrationTree, strategies, prices) -> np.ndarray:
     return stoch_integral(tree, np.reshape(strategies, (-1,) + prices.shape), prices)
 
 
+def _clearing_pair(s: Scenario, strategies) -> list[np.ndarray]:
+    """The summed strategies and the aggregate supply held buy-and-hold:
+    the market clears when their gains paths agree."""
+    tree = s.tree
+    total = sum(strategies, np.zeros((tree.n_nodes, s.d)))
+    return [total, _constant_strategy(tree, s.eta_bar())]
+
+
+def _last_gap(gains: np.ndarray) -> float:
+    """Largest gap, over all nodes, between the last two gains paths."""
+    return float(np.max(np.abs(gains[:, -2] - gains[:, -1])))
+
+
 def clearing_residual(s: Scenario, prices, strategies) -> float:
     """Market clearing at the gains-path level: the largest gap, over all
     nodes, between the gains of the summed strategies and those of the
     aggregate supply held buy-and-hold."""
-    tree = s.tree
-    total = sum(strategies, np.zeros((tree.n_nodes, s.d)))
-    gains = _gains(tree, [total, _constant_strategy(tree, s.eta_bar())], prices)
-    return float(np.max(np.abs(gains[:, 0] - gains[:, 1])))
+    return _last_gap(_gains(s.tree, _clearing_pair(s, strategies), prices))
 
 
 def _clearing_verdict(clearing: float, tol: float) -> tuple[str, str]:
@@ -307,11 +320,10 @@ def representative_check(
     tree = s.tree
     op = _as_operator(tree, prices)
     agg = aggregate(s)
-    optima, sol = _optima(s, op, range(len(s.agents)), tol, extra=agg.h_bar)
-    total = sum((theta for theta, _ in optima), np.zeros((tree.n_nodes, s.d)))
-    rep = sol.theta + _constant_strategy(tree, agg.eta_bar)
-    gains = _gains(tree, [total, rep], op.prices)
-    residual = float(np.max(np.abs(gains[:, 0] - gains[:, 1])))
+    _, sols, thetas = _optima(s, op, tol, extra=agg.h_bar)
+    total = sum(thetas, np.zeros((tree.n_nodes, s.d)))
+    rep = sols[-1].theta + _constant_strategy(tree, agg.eta_bar)
+    residual = _last_gap(_gains(tree, [total, rep], op.prices))
     return residual, residual <= tol
 
 
@@ -345,17 +357,13 @@ def verify_equilibrium(
             )
 
     op = _as_operator(tree, prices)
-    optima, _ = _optima(s, op, range(len(s.agents)), tol)
-    strategies = [theta for theta, _ in optima]
-    gains = _gains(tree, [theta - _constant_strategy(tree, _full_eta(s, k))
-                          for k, theta in enumerate(strategies)], prices)
-    gaps = []
-    for k, (_, rep) in enumerate(optima):
-        hk = s.agents[k].preference.gamma - total_endowment(s, k)
-        err = float(tree.leaf_probs @ (gains[tree.leaves, k] - hk) ** 2)
-        gaps.append(err - rep["mvh_sq_error"])
-
-    clearing = clearing_residual(s, prices, strategies)
+    short, sols, strategies = _optima(s, op, tol)
+    # the agents' hedges, then the clearing pair, from one forward sweep
+    gains = _gains(tree, [sol.theta for sol in sols] + _clearing_pair(s, strategies),
+                   prices)
+    gaps = [float(tree.leaf_probs @ (gains[tree.leaves, k] - hk) ** 2) - sol.sq_error
+            for k, (hk, sol) in enumerate(zip(short, sols))]
+    clearing = _last_gap(gains)
 
     mart_res = 0.0
     for j in range(s.d):

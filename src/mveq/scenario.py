@@ -126,7 +126,7 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list[str]:
         violations.append("leaf probabilities must be strictly positive")
     if abs(tree.leaf_probs.sum() - 1.0) > tol:
         violations.append(
-            f"leaf probabilities sum to {tree.leaf_probs.sum()!r}, not 1"
+            f"leaf probabilities sum to {float(tree.leaf_probs.sum())!r}, not 1"
         )
 
     if s.d1 < 0 or s.d2 < 0 or s.d1 + s.d2 < 1:
@@ -144,7 +144,7 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list[str]:
             if len(bad):
                 violations.append(
                     f"m_fin component {j} is not a martingale "
-                    f"(drift {drift[bad[0], j]!r} at node {nt[bad[0]]})"
+                    f"(drift {float(drift[bad[0], j])!r} at node {nt[bad[0]]})"
                 )
 
     for k, agent in enumerate(s.agents):

@@ -34,15 +34,8 @@ def cond_expect(tree: FiltrationTree, x_leaf, t: int) -> np.ndarray:
 def martingale_from_terminal(tree: FiltrationTree, x_leaf) -> np.ndarray:
     """The martingale closed by the leaf values, one value per node; leaf
     values of shape ``(n_leaves, m)`` close ``m`` martingales, one column
-    each.  The columns are swept one after another, like
-    :meth:`FiltrationTree.accumulate`'s."""
-    x_leaf = np.asarray(x_leaf, dtype=float)
-    out = np.zeros((tree.n_nodes,) + x_leaf.shape[1:])
-    out[tree.leaves] = x_leaf
-    for col in out.reshape(tree.n_nodes, -1).T:
-        for lvl in reversed(tree.nodes_at[:-1]):
-            col[lvl] = tree.child_mean(col)[lvl]
-    return out
+    each, from one backward sweep (:meth:`FiltrationTree.backward`)."""
+    return tree.backward(x_leaf)
 
 
 def _check_martingale(tree, x, tol, name):

@@ -16,14 +16,15 @@ Conventions used throughout the package:
 * A *leaf-indexed* vector lists one value per leaf, in increasing order of
   the leaf node ids.
 
-Every tree sweep is built from two step primitives that work on the
-``parent`` array and the per-time node lists ``nodes_at``:
-:meth:`FiltrationTree.child_mean`, ``E[y_child | node]`` at every node at
-once (backward sweeps apply it level by level from the horizon), and
-:meth:`FiltrationTree.accumulate`, the forward sweep ``out[c] =
-out[parent[c]] + inc[c]`` level by level from the root.  The hedging
-engine, which factors each node's children jointly, reads them from
-:meth:`FiltrationTree.child_table` instead, one padded table per level.
+Tree sweeps work on the ``parent`` array and the per-time node lists
+``nodes_at``: :meth:`FiltrationTree.child_mean`, ``E[y_child | node]`` at
+every node at once, and :meth:`FiltrationTree.accumulate`, the forward
+sweep ``out[c] = out[parent[c]] + inc[c]`` level by level from the root.
+The backward sweep :meth:`FiltrationTree.backward`, which closes
+martingales from their leaf values level by level from the horizon, and
+the hedging engine, which factors each node's children jointly, read
+the children from :meth:`FiltrationTree.child_table` instead, one padded
+table per level.
 """
 
 from __future__ import annotations
@@ -103,12 +104,17 @@ class FiltrationTree:
 
         # conditional probability of each node given its parent (1 at the
         # root); when a non-terminal node has nonpositive probability the
-        # steps out of it are undefined and child_mean raises instead
+        # steps out of it are undefined and child_mean raises instead.  The
+        # children of a node of infinite (or NaN) probability get NaN, left
+        # for scenario validation to report
         bad = self._nonterminal[self.prob[self._nonterminal] <= 0]
         self._bad_node = int(bad[0]) if len(bad) else None
         self.cond_prob = np.ones(n)
         if self._bad_node is None:
-            self.cond_prob[1:] = self.prob[1:] / self.prob[parent[1:]]
+            p_parent = self.prob[parent[1:]]
+            self.cond_prob[1:] = np.nan
+            np.divide(self.prob[1:], p_parent, out=self.cond_prob[1:],
+                      where=np.isfinite(p_parent))
         self._child_table = None
 
     @property
@@ -171,13 +177,45 @@ class FiltrationTree:
             slot = np.empty(n, dtype=int)
             slot[order] = np.arange(n - 1) - first[parent[order]]
             row = np.empty(n, dtype=int)
-            self._child_table = []
+            cond = np.append(self.cond_prob, 0.0)
+            self._child_table, self._child_probs = [], []
             for nodes, kids in zip(self.nodes_at[:-1], self.nodes_at[1:]):
                 row[nodes] = np.arange(len(nodes))
                 table = np.full((len(nodes), counts[nodes].max()), n)
                 table[row[parent[kids]], slot[kids]] = kids
                 self._child_table.append((nodes, table))
+                # for backward(): the table transposed, one row per child
+                # slot, and the children's conditional probabilities; one
+                # more column of padding keeps NumPy from summing a lone
+                # node's children pairwise instead of one after another
+                slots = np.ascontiguousarray(np.vstack([table, np.full(table.shape[1], n)]).T)
+                self._child_probs.append((nodes, slots, cond[slots][:, :, None]))
         return self._child_table
+
+    def backward(self, x_leaf, growth=None) -> np.ndarray:
+        """Backward sweep from the leaf values ``x_leaf`` (shape
+        ``(n_leaves, ...)``): each non-terminal node gets ``E[growth_c y_c |
+        node]`` over its children's values ``y_c``, level by level from the
+        horizon, with ``growth`` one factor per node (1 if omitted).  Each
+        level reads its own children only, all columns at once, so a sweep
+        costs O(nodes) per column.  The children are added one after
+        another in increasing id order, as :meth:`child_mean`'s bincount
+        does, so the values have its bits.  Raises like
+        :meth:`child_mean` where conditional probabilities are
+        undefined."""
+        self.child_table()
+        x_leaf = np.asarray(x_leaf, dtype=float)
+        n = self.n_nodes
+        # row n pads the child tables: value 0, probability 0
+        out = np.zeros((n + 1,) + x_leaf.shape[1:])
+        out[self.leaves] = x_leaf
+        flat = out.reshape(n + 1, -1)
+        if growth is not None:
+            growth = np.append(growth, 1.0)[:, None]
+        for nodes, kids, probs in reversed(self._child_probs):
+            y = flat[kids] if growth is None else growth[kids] * flat[kids]
+            flat[nodes] = np.add.reduce(probs * y, axis=0, initial=0.0)[:-1]
+        return out[:-1]
 
     def accumulate(self, x: np.ndarray, start: int = 0, op=np.add) -> np.ndarray:
         """Forward sweep in place: ``x[c] = op(x[parent[c]], x[c])`` for

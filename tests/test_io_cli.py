@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from mveq import (
 from mveq.cli import main
 from mveq.generate import generate_random_scenario
 from mveq.quadratic import construct_prices
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_scenario(path, s, prices=None):
@@ -187,6 +192,21 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
     assert "leaf_probs must be finite" in capsys.readouterr().err
 
 
+def test_cli_infinite_leaf_probability_is_a_validation_error(scen_b, tmp_path):
+    # in a child process, so that stderr shows any warning NumPy prints
+    doc = emit_scenario(scen_b)
+    doc["tree"]["leaf_probs"] = [float("inf"), 0.5]
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "mveq.cli", "solve-linear-mv", "--input",
+                           str(path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("validation error: leaf_probs must be finite; "
+                           "leaf probabilities sum to inf, not 1\n")
+
+
 def test_cli_loads_scenario_once(scen_a, tmp_path, capsys, monkeypatch):
     import mveq.cli
 
@@ -261,6 +281,15 @@ def test_cli_solver_precondition_is_not_a_validation_error(scen_c, tmp_path, cap
     invalid.write_text(json.dumps(doc))
     assert run_cli(["frontier", "--input", str(invalid)]) == 2
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+def test_cli_rejects_non_finite_prices(scen_b, tmp_path, capsys):
+    # frontier and verify reject the block alike, before any solver runs
+    prices = np.array([[float("nan")], [2.0], [1.0]])
+    path = write_scenario(tmp_path / "nan.json", scen_b, prices)
+    for command in ("frontier", "verify"):
+        assert run_cli([command, "--input", path]) == 2
+        assert capsys.readouterr().err == "validation error: prices must be finite\n"
 
 
 def test_cli_random_suite(capsys):

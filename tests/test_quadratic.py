@@ -18,11 +18,16 @@ from mveq import (
     verify_equilibrium,
 )
 from mveq import generate
+from mveq.mvh import GainsOperator, _as_operator
 from mveq.quadratic import (
+    _constant_strategy,
     _financial_prices,
+    _full_eta,
+    _gains,
     _productive_prices_degenerate,
     restart_martingale_failures,
 )
+from mveq.scenario import total_endowment
 from mveq.generate import generate_random_scenario
 
 
@@ -288,3 +293,93 @@ def test_small_money_unit_keeps_outcome(kind):
         if a.prices is not None:
             np.testing.assert_allclose(b.prices / k, a.prices, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(a.prices)))
+
+
+# ---------------------------------------------------------------- verification cost
+
+
+def three_agent_market():
+    return generate_random_scenario(4, horizon=3, branching=3, d1=1, d2=1, n_agents=3)
+
+
+def test_verification_hedges_k_columns_in_one_gains_sweep(monkeypatch):
+    import mveq.quadratic
+
+    s = three_agent_market()
+    widths, sweeps = [], []
+    real_hedges, real_integral = GainsOperator.hedges, mveq.quadratic.stoch_integral
+
+    def counting_hedges(self, H, *args, **kwargs):
+        widths.append(np.shape(H)[1])
+        return real_hedges(self, H, *args, **kwargs)
+
+    def counting_integral(tree, theta, prices):
+        sweeps.append(len(theta))
+        return real_integral(tree, theta, prices)
+
+    monkeypatch.setattr(GainsOperator, "hedges", counting_hedges)
+    monkeypatch.setattr(mveq.quadratic, "stoch_integral", counting_integral)
+    report = solve_quadratic(s)
+    assert report.verdict == "Equilibrium"
+    # three shortfalls; three hedges plus the clearing pair in one sweep
+    assert (widths, sweeps) == ([3], [5])
+    widths.clear()
+    sweeps.clear()
+    assert verify_equilibrium(s, report.prices).verdict == "Equilibrium"
+    assert (widths, sweeps) == ([3], [5])
+
+
+def old_optima(s, op, ks, tol, extra=None):
+    """The optima of the agents ``ks`` with the decomposition cross-check,
+    as every verification used to run it: the shortfalls and ``extra``
+    hedged from capital 0 and the endowments with a free constant, in one
+    sweep."""
+    tree = s.tree
+    gammas = [s.agents[k].preference.gamma for k in ks]
+    xis = [total_endowment(s, k) for k in ks]
+    ex = op.unique_values(tol)
+    plain = [g - x for g, x in zip(gammas, xis)] + ([] if extra is None else [extra])
+    cols = plain + (xis if ex else [])
+    sols = op.hedges(np.reshape(cols, (-1, tree.n_leaves)).T, tol,
+                     np.arange(len(cols)) >= len(plain))
+    out, gaps = [], []
+    for i, k in enumerate(ks):
+        eta = _constant_strategy(tree, _full_eta(s, k))
+        theta = sols[i].theta + eta
+        out.append((theta, {"mvh_sq_error": sols[i].sq_error, "unique": sols[i].unique}))
+        if ex:
+            e = sols[len(plain) + i]
+            gaps.append(theta - (eta - e.theta + (gammas[i] - e.c) * op.theta1))
+    if ex:
+        diff = _gains(tree, gaps, op.prices)
+        for i, (_, report) in enumerate(out):
+            report["c_k"] = sols[len(plain) + i].c
+            report["decomposition_gap"] = float(np.max(np.abs(diff[:, i])))
+    return out, (None if extra is None else sols[len(ks)])
+
+
+@pytest.mark.parametrize("market", ["scen_a", "scen_d", "three"])
+def test_individual_optimal_keeps_its_bits(market, request):
+    s = three_agent_market() if market == "three" else request.getfixturevalue(market)
+    op = _as_operator(s.tree, solve_quadratic(s).prices)
+    for k in range(len(s.agents)):
+        theta, report = individual_optimal(s, op.prices, k)
+        [(old_theta, old_report)] = old_optima(s, op, [k], DEFAULT_TOL)[0]
+        assert theta.tobytes() == old_theta.tobytes()
+        assert set(report) == {"mvh_sq_error", "unique", "c_k", "decomposition_gap"}
+        for key, value in old_report.items():
+            assert np.float64(report[key]).tobytes() == np.float64(value).tobytes()
+
+
+def test_representative_check_keeps_its_value():
+    s = three_agent_market()
+    op = _as_operator(s.tree, solve_quadratic(s).prices)
+    optima, sol = old_optima(s, op, range(len(s.agents)), DEFAULT_TOL,
+                             extra=aggregate(s).h_bar)
+    total = sum((theta for theta, _ in optima), np.zeros((s.tree.n_nodes, s.d)))
+    rep = sol.theta + _constant_strategy(s.tree, s.eta_bar())
+    gains = _gains(s.tree, [total, rep], op.prices)
+    old = float(np.max(np.abs(gains[:, 0] - gains[:, 1])))
+    residual, ok = representative_check(s, op.prices)
+    assert ok
+    assert residual == old

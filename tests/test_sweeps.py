@@ -315,6 +315,46 @@ def test_batched_sweeps_match_per_column_bitwise(tree):
         assert gains[:, j].tobytes() == stoch_integral(tree, thetas[j], s).tobytes()
 
 
+def wide_tree():
+    """A root with 12 children of 9 children each: NumPy sums 8 or more
+    terms in one row pairwise, not one after another."""
+    children = [list(range(1, 13))]
+    children += [list(range(13 + 9 * i, 22 + 9 * i)) for i in range(12)]
+    children += [[] for _ in range(108)]
+    probs = np.random.default_rng(12).uniform(0.5, 1.5, 108)
+    return FiltrationTree(children, probs / probs.sum())
+
+
+def child_mean_sweep(tree, x_leaf, growth=None):
+    """The backward sweep as ``tree.child_mean`` over the whole tree at
+    every level."""
+    out = np.zeros((tree.n_nodes, x_leaf.shape[1]))
+    out[tree.leaves] = x_leaf
+    g = np.ones(tree.n_nodes) if growth is None else growth
+    for lvl in reversed(tree.nodes_at[:-1]):
+        out[lvl] = tree.child_mean(g[:, None] * out)[lvl]
+    return out
+
+
+@pytest.mark.parametrize("tree", TREES + [wide_tree()], ids=IDS + ["wide"])
+def test_backward_sweeps_keep_child_mean_bits(tree):
+    rng = np.random.default_rng(tree.n_nodes + 8)
+    for m in (1, 3):
+        x = rng.uniform(-2.0, 2.0, (tree.n_leaves, m)) * 10.0 ** rng.integers(-6, 6, (tree.n_leaves, m))
+        ref = child_mean_sweep(tree, x)
+        assert martingale_from_terminal(tree, x).tobytes() == ref.tobytes()
+        assert martingale_from_terminal(tree, x[:, 0]).tobytes() == ref[:, 0].tobytes()
+    h = rng.uniform(0.5, 2.0, tree.n_leaves)
+    h[: max(1, tree.n_leaves // 3)] = 0.0  # the density vanishes somewhere
+    z = loop_martingale_from_terminal(tree, h)
+    growth = np.ones(tree.n_nodes)
+    z_prev = z[tree.parent[1:]]
+    np.divide(z[1:], z_prev, out=growth[1:], where=np.abs(z_prev) > TOL)
+    div = rng.uniform(0, 3, (tree.n_leaves, 2))
+    assert (_productive_prices_degenerate(tree, div, z, TOL).tobytes()
+            == child_mean_sweep(tree, div, growth).tobytes())
+
+
 @pytest.mark.parametrize("tree", TREES, ids=IDS)
 def test_restarted_exponential_matches_loop_bitwise(tree):
     rng = np.random.default_rng(tree.n_nodes + 2)

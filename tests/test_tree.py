@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,12 @@ def test_random_tree_is_consistent():
     assert np.all(tree.leaf_probs > 0)
     for t in range(4):
         assert tree.prob[tree.nodes_at[t]].sum() == pytest.approx(1.0)
+
+
+def test_infinite_leaf_probability_is_left_to_validation():
+    # inf / inf would warn; the children of the infinite node get NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = FiltrationTree([[1, 2], [], []], [np.inf, 0.5])
+    assert tree.prob[0] == np.inf
+    assert np.all(np.isnan(tree.cond_prob[1:]))
