@@ -155,11 +155,6 @@ def solve_linear_mv(s: Scenario, tol: float = DEFAULT_TOL) -> MvEquilibriumRepor
     return report
 
 
-def _endowments(s: Scenario, ks) -> np.ndarray:
-    """Terminal endowments of the agents ``ks``, one column each."""
-    return np.reshape([total_endowment(s, k) for k in ks], (-1, s.tree.n_leaves)).T
-
-
 def agent_frontier(
     s: Scenario, prices, k: int, tol: float = DEFAULT_TOL
 ) -> FrontierData:
@@ -175,7 +170,7 @@ def _frontiers(s: Scenario, op: GainsOperator, tol: float) -> list[FrontierData]
     squared error around it."""
     if not op.unique_values(tol):
         raise ValueError("frontier requires uniqueness of value processes")
-    v_bar, eps2 = op.values(_endowments(s, range(len(s.agents))))
+    v_bar, eps2 = op.values(s.endowments())
     return [FrontierData(ell=op.ell, c_k=float(c), eps2_k=float(e))
             for c, e in zip(v_bar[0], eps2)]
 
@@ -195,7 +190,8 @@ def _mv_strategies(s: Scenario, op: GainsOperator, ks, tol: float):
     if not op.unique_values(tol):
         raise ValueError("optimal strategy requires uniqueness of value processes")
     out = []
-    for k, ex in zip(ks, op.hedges(_endowments(s, ks), tol, extended=True)):
+    ks = list(ks)
+    for k, ex in zip(ks, op.hedges(s.endowments()[:, ks], tol, extended=True)):
         y_k = s.agents[k].preference.lam / op.ell
         theta = y_k * op.theta1 + _constant_strategy(s.tree, _full_eta(s, k)) - ex.theta
         out.append((y_k, theta, ex))
@@ -252,7 +248,7 @@ def verify_fixed_point(
     if not op.unique_values(tol):
         raise ValueError("fixed-point check requires uniqueness of value processes")
     lams = _lambdas(s)
-    cs = op.constants(_endowments(s, range(len(s.agents))))
+    cs = op.constants(s.endowments())
     fp = abs(gamma_bar - sum(c + lam / op.ell for c, lam in zip(cs, lams)))
     xi_bar = aggregate_endowment(s) if xi_bar is None else xi_bar
     mean_xi = float(tree.leaf_probs @ xi_bar)

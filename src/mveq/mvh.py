@@ -25,11 +25,21 @@ the rank of the local increments.  Every sweep costs O(nodes b d^2) for
 branching ``b`` and ``d`` assets.  Functions taking ``prices`` here, in
 ``quadratic`` and in ``linear_mv`` also accept the operator of those prices.
 
+Each level of the recursion reads its nodes, their padded children and
+the square roots of the children's conditional probabilities from the
+tree's level plan (``FiltrationTree.levels``), built once per tree; with
+one asset a level runs on ``(k, b)`` arrays.  The pure-investment
+shortfall ``y`` and hedge ``theta1`` are computed on first read: a
+quadratic solve never reads them.
+
 Repeated calls on the same tree object and bitwise-equal prices share one
 engine: the last one built is kept and reused, so a solve, the agents'
 frontiers and the opportunity process of its prices run the backward
 recursion once.  An engine keeps its own copy of the prices, and its
 arrays (``prices``, ``L``, ``beta``, ``y``, ``theta1``) are read-only.
+The payoffs hedged for the agents come from the scenario's endowment
+matrix (``Scenario.endowments``), built once per scenario: a scenario
+cannot change after construction (read-only arrays, ``agents`` a tuple).
 
 Each engine also keeps its last payoff sweep in one slot: ``v_bar`` and
 the per-level ``xi`` of the payoff matrix swept last, keyed on that
@@ -102,12 +112,11 @@ class MvhSolution:
 
 class _Level(NamedTuple):
     """One time step of the sweeps: the ``k`` nodes at that time, their
-    children (padded to ``b`` per row, see ``FiltrationTree.child_table``)
+    children (padded to ``b`` per row, see ``FiltrationTree.levels``)
     and the factored local increments."""
 
     nodes: np.ndarray
     kids: np.ndarray
-    pos: np.ndarray  # rows of the nodes in the order of tree.nonterminal()
     dsk: np.ndarray  # (k, b, d) price steps to the children
     beta: np.ndarray  # (k, d, 1) local pure-investment hedge ratios
     m: np.ndarray  # (k, d + 1, b): v_bar at the children -> xi and L v_bar
@@ -139,68 +148,91 @@ class GainsOperator:
     """Mean-variance hedging engine of one price system.
 
     Attributes set by the backward sweep: ``L`` (opportunity process, one
-    value per node), ``ell = L[0]``, ``beta`` (local pure-investment hedge
-    ratios, 0 at the leaves), ``y`` (shortfall ``1 - g`` of the
-    pure-investment hedge started at the root) and ``theta1 = beta * y``,
-    that hedge.  These arrays and ``prices``, the engine's own copy of the
-    prices, are read-only.
+    value per node), ``ell = L[0]`` and ``beta`` (local pure-investment
+    hedge ratios, 0 at the leaves); computed on first read: ``y``
+    (shortfall ``1 - g`` of the pure-investment hedge started at the root)
+    and ``theta1 = beta * y``, that hedge.  These arrays and ``prices``,
+    the engine's own copy of the prices, are read-only.
     """
 
     def __init__(self, tree: FiltrationTree, prices):
         prices = np.array(_price_matrix(prices))  # the engine's own copy
         self.tree, self.prices = tree, prices
         n, d = prices.shape
-        nt = tree.nonterminal()
-        # index n pads the child tables: probability 0, no step
+        # index n pads the child tables: no step
         ds = np.zeros((n + 1, d))
         ds[:n] = tree.increments(prices)
-        sp = np.zeros(n + 1)
-        sp[:n] = np.sqrt(tree.cond_prob)
+        if d == 1:
+            ds = ds[:, 0]
         L = np.ones(n + 1)
         sl = np.ones(n + 1)  # sqrt(L), 0 where L is cut
         step = np.ones(n + 1)
         beta = np.zeros((n, d))
-        self._ds, self._sp = ds, sp
         self._levels = []
-        for nodes, kids in reversed(tree.child_table()):
-            wgt = sp[kids] * sl[kids]
+        for lv in reversed(tree.levels()):
+            nodes, kids = lv.nodes, lv.kids
+            wgt = lv.sqrt_p * sl[kids]
             dsk = ds[kids]
-            x = wgt[:, :, None] * dsk
+            # rows 0..d-1 of m map v_bar at the children to xi, row d to L v_bar
+            m = np.empty((len(nodes), d + 1, kids.shape[1]))
             if d == 1:  # one singular value, |x|: pinv(x) = x^T / |x|^2
-                n2 = np.einsum("kbi,kbi->ki", x, x)
-                pinv = (x / np.where(n2 > 0.0, n2, 1.0)[:, None, :]).transpose(0, 2, 1)
+                x = wgt * dsk
+                n2 = np.einsum("kb,kb->k", x, x)
+                pw = np.divide(x, np.where(n2 > 0.0, n2, 1.0)[:, None], out=m[:, 0])
+                pw *= wgt  # pinv(X) diag(w): maps v_bar at the children to xi
+                b = pw.sum(axis=1)[:, None]
+                gain = dsk * b
+                dsk, x = dsk[:, :, None], x[:, :, None]
             else:
+                x = wgt[:, :, None] * dsk
                 u, sv, vt = np.linalg.svd(x, full_matrices=False)
                 keep = sv > RCOND * sv[:, :1]
                 inv = keep / np.where(keep, sv, 1.0)
                 pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
-            # pinv(X) diag(w): maps v_bar at the children to xi
-            pw = pinv * wgt[:, None, :]
-            b = pw.sum(axis=2)
-            gain = (dsk @ b[:, :, None])[:, :, 0]
-            res = wgt * (1.0 - gain)  # local residual of the pure investment
+                pw = np.multiply(pinv, wgt[:, None, :], out=m[:, :d])
+                b = pw.sum(axis=2)
+                gain = (dsk @ b[:, :, None])[:, :, 0]
+            short = 1.0 - gain
+            step[kids] = short
+            res = wgt * short  # local residual of the pure investment
+            np.multiply(res, wgt, out=m[:, d])
             beta[nodes] = b
-            step[kids] = 1.0 - gain
             Ln = (res * res).sum(axis=1)
             L[nodes] = Ln
             live = Ln > L_CUT
             sl[nodes] = np.sqrt(Ln * live)
             inv_L = live / np.where(live, Ln, 1.0)
-            # rows 0..d-1 of m map v_bar at the children to xi, row d to L v_bar
-            m = np.concatenate([pw, (res * wgt)[:, None, :]], axis=1)
-            self._levels.append(_Level(nodes, kids, np.searchsorted(nt, nodes), dsk,
-                                       b[:, :, None], m, inv_L, x, wgt, res))
+            self._levels.append(_Level(nodes, kids, dsk, b[:, :, None], m, inv_L, x, wgt, res))
         self._levels.reverse()
         self.L = L[:n]
         self.ell = float(L[0])
         self.beta = beta
-        self.y = tree.accumulate(step[:n], 0, np.multiply)
-        self.theta1 = beta * self.y[:, None]
+        self._step = step[:n]
+        self._y = self._theta1 = None
         # the engine may be shared by every caller of the same price system
-        for a in (self.prices, self.L, self.beta, self.y, self.theta1):
+        for a in (self.prices, self.L, self.beta):
             a.flags.writeable = False
         self._unique: dict[float, bool] = {}
         self._swept: _Sweep | None = None
+
+    @property
+    def y(self) -> np.ndarray:
+        """Shortfall ``1 - g`` of the pure-investment hedge started at the
+        root, per node; one forward sweep on first read."""
+        if self._y is None:
+            y = self.tree.accumulate(self._step.copy(), 0, np.multiply)
+            y.flags.writeable = False
+            self._y = y
+        return self._y
+
+    @property
+    def theta1(self) -> np.ndarray:
+        """The pure-investment hedge ``beta * y``; computed on first read."""
+        if self._theta1 is None:
+            theta1 = self.beta * self.y[:, None]
+            theta1.flags.writeable = False
+            self._theta1 = theta1
+        return self._theta1
 
     def theta_from_coords(self, x: np.ndarray) -> np.ndarray:
         """Strategy ``(n_nodes, d)`` from its coordinates ``x``, the flat
@@ -228,14 +260,13 @@ class GainsOperator:
         L = np.append(self.L, 1.0)
         if L[1:].min() > tol:
             return True
-        for lv in self._levels:
-            kids = lv.kids
-            low = L[kids] <= tol
+        for plan, lv in zip(self.tree.levels(), self._levels):
+            low = L[lv.kids] <= tol
             rows = low.any(axis=1)
             if not rows.any():
                 continue
-            kids, low = kids[rows], low[rows]
-            y = self._sp[kids, None] * self._ds[kids]
+            low = low[rows]
+            y = plan.sqrt_p[rows][:, :, None] * lv.dsk[rows]
             sv_all = np.linalg.svd(y, compute_uv=False)
             sv_kept = np.linalg.svd(np.where(low[:, :, None], 0.0, y), compute_uv=False)
             cut = RCOND * sv_all[:, :1]
@@ -312,13 +343,12 @@ class GainsOperator:
         n, d = self.prices.shape
         wealth = np.zeros((n + 1, len(capital)))
         wealth[0] = capital
-        coords = np.zeros((len(capital), len(self.tree.nonterminal()), d))
+        theta = np.zeros((n, d, len(capital)))  # leaves hold 0
         for lv, xi in zip(self._levels, xis):
             vn = wealth[lv.nodes]
-            th = xi - lv.beta * vn[:, None, :]
-            coords[:, lv.pos] = th.transpose(2, 0, 1)
+            th = theta[lv.nodes] = xi - lv.beta * vn[:, None, :]
             wealth[lv.kids] = vn[:, None, :] + lv.dsk @ th
-        return self.theta_from_coords(coords), wealth[:n]
+        return np.ascontiguousarray(theta.transpose(2, 0, 1)), wealth[:n]
 
     def hedges(self, H, tol: float, extended=False) -> list[MvhSolution]:
         """Hedge of each payoff column of ``H`` (one row per leaf) from one
@@ -513,9 +543,7 @@ def gkw_decompose(
     for j in range(m.shape[1]):
         _check_martingale(tree, m[:, j], tol, f"m[{j}]")
     n = tree.n_nodes
-    # index n pads the child tables: probability 0, no step, scale 0
-    sp = np.zeros(n + 1)
-    sp[:n] = np.sqrt(tree.cond_prob)
+    # index n pads the child tables: no step, scale 0
     dz = np.zeros(n + 1)
     dz[:n] = tree.increments(z)
     dm = np.zeros((n + 1, m.shape[1]))
@@ -523,8 +551,8 @@ def gkw_decompose(
     size = np.zeros(n + 1)
     size[:n] = np.abs(m).max(axis=1, initial=0.0)
     xi = np.zeros(m.shape)
-    for nodes, kids in tree.child_table():
-        w = sp[kids]
+    for lv in tree.levels():
+        nodes, kids, w = lv.nodes, lv.kids, lv.sqrt_p
         u, sv, vt = np.linalg.svd(w[:, :, None] * dm[kids], full_matrices=False)
         scale = np.maximum(size[nodes], size[kids].max(axis=1))
         keep = sv > GKW_RCOND * scale[:, None]

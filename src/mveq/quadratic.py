@@ -255,7 +255,7 @@ def _optima(s: Scenario, op: GainsOperator, tol: float, extra=None):
     bliss-point shortfalls (one leaf vector per agent), the hedges of the
     shortfalls, then of ``extra``, and the optimal strategies."""
     tree = s.tree
-    short = [a.preference.gamma - total_endowment(s, k) for k, a in enumerate(s.agents)]
+    short = [a.preference.gamma - xi for a, xi in zip(s.agents, s.endowments().T)]
     cols = short + ([] if extra is None else [extra])
     n = len(cols)
     # one payoff column would take NumPy's matrix-vector products, whose

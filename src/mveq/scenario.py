@@ -9,7 +9,7 @@ supply, so agents only hold units of the productive assets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +43,29 @@ class LinearMV:
     lam: float
 
 
+def _frozen(values, shape=None) -> np.ndarray:
+    """A read-only float copy of ``values``, reshaped to ``shape`` if
+    given."""
+    out = np.array(values, dtype=float)
+    if shape is not None:
+        out = out.reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One agent: traded endowment in productive assets, non-traded
-    terminal income (one value per leaf) and a preference."""
+    terminal income (one value per leaf) and a preference.  The arrays
+    are read-only copies of the inputs."""
 
     eta2: np.ndarray
     xi_n: np.ndarray
     preference: Quadratic | LinearMV
 
     def __post_init__(self):
-        object.__setattr__(self, "eta2", np.asarray(self.eta2, dtype=float))
-        object.__setattr__(self, "xi_n", np.asarray(self.xi_n, dtype=float))
+        object.__setattr__(self, "eta2", _frozen(self.eta2))
+        object.__setattr__(self, "xi_n", _frozen(self.xi_n))
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,11 @@ class Scenario:
     ``m_fin`` holds the martingale parts of the financial assets as an
     array of shape ``(n_nodes, d1)`` with value 0 at the root; ``dividends``
     has shape ``(n_leaves, d2)``.
+
+    A scenario does not change once built: its arrays are read-only
+    copies of the inputs and ``agents`` is a tuple, so data derived from
+    it, such as :meth:`endowments`, is computed once.
+    ``dataclasses.replace`` builds a new scenario, which derives its own.
     """
 
     tree: FiltrationTree
@@ -72,16 +88,17 @@ class Scenario:
     s0_fin: np.ndarray
     m_fin: np.ndarray
     dividends: np.ndarray
-    agents: list[AgentSpec] = field(default_factory=list)
+    agents: tuple[AgentSpec, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "s0_fin", np.asarray(self.s0_fin, dtype=float))
-        m = np.asarray(self.m_fin, dtype=float).reshape(self.tree.n_nodes, self.d1)
-        object.__setattr__(self, "m_fin", m)
-        d = np.asarray(self.dividends, dtype=float).reshape(
-            self.tree.n_leaves, self.d2
-        )
-        object.__setattr__(self, "dividends", d)
+        object.__setattr__(self, "s0_fin", _frozen(self.s0_fin))
+        object.__setattr__(self, "m_fin", _frozen(self.m_fin, (self.tree.n_nodes, self.d1)))
+        object.__setattr__(self, "dividends",
+                           _frozen(self.dividends, (self.tree.n_leaves, self.d2)))
+        object.__setattr__(self, "agents", tuple(self.agents))
+        # built by endowments() on first use, so that a malformed agent
+        # reaches validate_scenario instead of failing here
+        object.__setattr__(self, "_endowments", None)
 
     @property
     def d(self) -> int:
@@ -95,19 +112,30 @@ class Scenario:
             out[self.d1:] += a.eta2
         return out
 
+    def endowments(self) -> np.ndarray:
+        """Terminal endowments of all agents, ``(n_leaves, k)``: column
+        ``k`` is the dividend value of agent ``k``'s traded units plus its
+        non-traded income.  Built on first call; read-only."""
+        if self._endowments is None:
+            rows = np.reshape([self.dividends @ a.eta2 + a.xi_n for a in self.agents],
+                              (-1, self.tree.n_leaves))
+            rows.flags.writeable = False
+            object.__setattr__(self, "_endowments", rows.T)
+        return self._endowments
+
 
 def total_endowment(s: Scenario, k: int) -> np.ndarray:
-    """Terminal endowment of agent ``k``, one value per leaf: the dividend
-    value of the traded units plus the non-traded income."""
-    agent = s.agents[k]
-    return s.dividends @ agent.eta2 + agent.xi_n
+    """Terminal endowment of agent ``k``, one value per leaf (read-only;
+    see :meth:`Scenario.endowments`)."""
+    return s.endowments()[:, k]
 
 
 def aggregate_endowment(s: Scenario) -> np.ndarray:
-    """Sum of all agents' terminal endowments, one value per leaf."""
+    """Sum of all agents' terminal endowments, one value per leaf, added
+    in agent order."""
     out = np.zeros(s.tree.n_leaves)
-    for k in range(len(s.agents)):
-        out += total_endowment(s, k)
+    for col in s.endowments().T:
+        out += col
     return out
 
 
@@ -124,10 +152,12 @@ def validate_scenario(s: Scenario, tol: float = DEFAULT_TOL) -> list[str]:
             violations.append(f"{name} must be finite")
     if np.any(tree.leaf_probs <= 0):
         violations.append("leaf probabilities must be strictly positive")
-    if abs(tree.leaf_probs.sum() - 1.0) > tol:
-        violations.append(
-            f"leaf probabilities sum to {float(tree.leaf_probs.sum())!r}, not 1"
-        )
+    # finite probabilities may sum past the float range: that inf is
+    # reported here, not warned about
+    with np.errstate(over="ignore"):
+        total = float(tree.leaf_probs.sum())
+    if abs(total - 1.0) > tol:
+        violations.append(f"leaf probabilities sum to {total!r}, not 1")
 
     if s.d1 < 0 or s.d2 < 0 or s.d1 + s.d2 < 1:
         violations.append("need d1 >= 0, d2 >= 0 and d1 + d2 >= 1")

@@ -16,22 +16,38 @@ Conventions used throughout the package:
 * A *leaf-indexed* vector lists one value per leaf, in increasing order of
   the leaf node ids.
 
-Tree sweeps work on the ``parent`` array and the per-time node lists
-``nodes_at``: :meth:`FiltrationTree.child_mean`, ``E[y_child | node]`` at
-every node at once, and :meth:`FiltrationTree.accumulate`, the forward
-sweep ``out[c] = out[parent[c]] + inc[c]`` level by level from the root.
-The backward sweep :meth:`FiltrationTree.backward`, which closes
-martingales from their leaf values level by level from the horizon, and
-the hedging engine, which factors each node's children jointly, read
-the children from :meth:`FiltrationTree.child_table` instead, one padded
-table per level.
+Tree sweeps work on the ``parent`` array and on one level plan per tree
+(:meth:`FiltrationTree.levels`, built on first use): per time step, the
+nodes, their padded children table, the children's conditional
+probabilities and their square roots, and the parents of the next
+level's nodes.  :meth:`FiltrationTree.child_mean` gives ``E[y_child |
+node]`` at every node at once; :meth:`FiltrationTree.accumulate`, the
+forward sweep ``out[c] = out[parent[c]] + inc[c]``, runs level by level
+from the root; :meth:`FiltrationTree.backward` closes martingales from
+their leaf values level by level from the horizon.  The hedging engine
+and the GKW projection of :mod:`mveq.mvh`, which factor each node's
+children jointly, read the same plan.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = ["FiltrationTree"]
+
+
+class Level(NamedTuple):
+    """One time step ``t -> t + 1`` of a tree's level plan."""
+
+    nodes: np.ndarray  # the nodes at time t
+    kids: np.ndarray  # (len(nodes), b) their children, padded with n_nodes
+    sqrt_p: np.ndarray  # (len(nodes), b) sqrt of the children's conditional probabilities
+    slots: np.ndarray  # (b, len(nodes) + 1) kids transposed, one more padding column
+    probs: np.ndarray  # (b, len(nodes) + 1, 1) conditional probabilities at slots
+    below: np.ndarray  # the nodes at time t + 1
+    parents: np.ndarray  # the parent of each of them
 
 
 class FiltrationTree:
@@ -95,8 +111,11 @@ class FiltrationTree:
 
         self.prob = np.zeros(n)
         self.prob[self.leaves] = leaf_probs
-        for i in range(n - 1, 0, -1):
-            self.prob[parent[i]] += self.prob[i]
+        # finite leaf probabilities may sum past the float range: the inf
+        # is left for scenario validation to report
+        with np.errstate(over="ignore"):
+            for i in range(n - 1, 0, -1):
+                self.prob[parent[i]] += self.prob[i]
 
         self.nodes_at = [
             np.flatnonzero(self.time == t) for t in range(self.horizon + 1)
@@ -115,7 +134,7 @@ class FiltrationTree:
             self.cond_prob[1:] = np.nan
             np.divide(self.prob[1:], p_parent, out=self.cond_prob[1:],
                       where=np.isfinite(p_parent))
-        self._child_table = None
+        self._plan: list[Level] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -159,16 +178,22 @@ class FiltrationTree:
         bins = self.parent[1:] if m == 1 else (self.parent[1:, None] * m + np.arange(m)).ravel()
         return np.bincount(bins, weights=cols.ravel(), minlength=n * m).reshape(y.shape)
 
-    def child_table(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per time ``t < horizon``, the nodes at ``t`` and their children:
-        row ``i`` of the ``(len(nodes), width)`` table lists the children
-        of ``nodes[i]`` in increasing id order, padded with ``n_nodes`` (one
-        past the last node id) to the widest row.  Built once per tree;
-        raises like :meth:`child_mean` where conditional probabilities are
-        undefined."""
+    def levels(self) -> list[Level]:
+        """The level plan: one :class:`Level` per time ``t < horizon``.
+        Row ``i`` of a level's ``kids`` lists the children of
+        ``nodes[i]`` in increasing id order, padded with ``n_nodes`` (one
+        past the last node id) to the widest row; ``sqrt_p`` is 0 at the
+        padding.  Built once per tree; raises like :meth:`child_mean`
+        where conditional probabilities are undefined."""
         if self._bad_node is not None:
             raise ValueError(f"node {self._bad_node} has nonpositive probability")
-        if self._child_table is None:
+        return self._levels()
+
+    def _levels(self) -> list[Level]:
+        """The level plan, also where conditional probabilities are
+        undefined (for :meth:`accumulate`, which reads only the
+        parents)."""
+        if self._plan is None:
             n, parent = self.n_nodes, self.parent
             counts = np.bincount(parent[1:], minlength=n)
             first = np.cumsum(counts) - counts
@@ -178,19 +203,25 @@ class FiltrationTree:
             slot[order] = np.arange(n - 1) - first[parent[order]]
             row = np.empty(n, dtype=int)
             cond = np.append(self.cond_prob, 0.0)
-            self._child_table, self._child_probs = [], []
-            for nodes, kids in zip(self.nodes_at[:-1], self.nodes_at[1:]):
+            # a negative leaf probability, left for validation to report,
+            # gives a NaN square root
+            with np.errstate(invalid="ignore"):
+                sqrt_p = np.sqrt(cond)
+            self._plan = []
+            for nodes, below in zip(self.nodes_at[:-1], self.nodes_at[1:]):
                 row[nodes] = np.arange(len(nodes))
-                table = np.full((len(nodes), counts[nodes].max()), n)
-                table[row[parent[kids]], slot[kids]] = kids
-                self._child_table.append((nodes, table))
+                kids = np.full((len(nodes), counts[nodes].max()), n)
+                kids[row[parent[below]], slot[below]] = below
                 # for backward(): the table transposed, one row per child
-                # slot, and the children's conditional probabilities; one
-                # more column of padding keeps NumPy from summing a lone
-                # node's children pairwise instead of one after another
-                slots = np.ascontiguousarray(np.vstack([table, np.full(table.shape[1], n)]).T)
-                self._child_probs.append((nodes, slots, cond[slots][:, :, None]))
-        return self._child_table
+                # slot; one more column of padding keeps NumPy from summing
+                # a lone node's children pairwise instead of one after another
+                slots = np.ascontiguousarray(np.vstack([kids, np.full(kids.shape[1], n)]).T)
+                lv = Level(nodes, kids, sqrt_p[kids], slots, cond[slots][:, :, None],
+                           below, parent[below])
+                for a in lv:  # shared by every sweep of the tree
+                    a.flags.writeable = False
+                self._plan.append(lv)
+        return self._plan
 
     def backward(self, x_leaf, growth=None) -> np.ndarray:
         """Backward sweep from the leaf values ``x_leaf`` (shape
@@ -203,7 +234,7 @@ class FiltrationTree:
         does, so the values have its bits.  Raises like
         :meth:`child_mean` where conditional probabilities are
         undefined."""
-        self.child_table()
+        levels = self.levels()
         x_leaf = np.asarray(x_leaf, dtype=float)
         n = self.n_nodes
         # row n pads the child tables: value 0, probability 0
@@ -212,9 +243,9 @@ class FiltrationTree:
         flat = out.reshape(n + 1, -1)
         if growth is not None:
             growth = np.append(growth, 1.0)[:, None]
-        for nodes, kids, probs in reversed(self._child_probs):
-            y = flat[kids] if growth is None else growth[kids] * flat[kids]
-            flat[nodes] = np.add.reduce(probs * y, axis=0, initial=0.0)[:-1]
+        for lv in reversed(levels):
+            y = flat[lv.slots] if growth is None else growth[lv.slots] * flat[lv.slots]
+            flat[lv.nodes] = np.add.reduce(lv.probs * y, axis=0, initial=0.0)[:-1]
         return out[:-1]
 
     def accumulate(self, x: np.ndarray, start: int = 0, op=np.add) -> np.ndarray:
@@ -225,10 +256,10 @@ class FiltrationTree:
         latter are swept one after another, since gathering whole rows
         costs several times as much as gathering single values.  Returns
         ``x``."""
-        steps = [(lvl, self.parent[lvl]) for lvl in self.nodes_at[start + 1 :]]
+        steps = self._levels()[start:]
         for col in x.reshape(len(x), -1).T:
-            for lvl, par in steps:
-                col[lvl] = op(col[par], col[lvl])
+            for lv in steps:
+                col[lv.below] = op(col[lv.parents], col[lv.below])
         return x
 
     def descendants(self, node: int) -> np.ndarray:

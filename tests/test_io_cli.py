@@ -193,18 +193,38 @@ def test_cli_exit_codes(scen_b, scen_c_prime, tmp_path, capsys):
 
 
 def test_cli_infinite_leaf_probability_is_a_validation_error(scen_b, tmp_path):
-    # in a child process, so that stderr shows any warning NumPy prints
-    doc = emit_scenario(scen_b)
-    doc["tree"]["leaf_probs"] = [float("inf"), 0.5]
-    path = tmp_path / "inf.json"
+    # in a child process, so that stderr shows any warning NumPy prints;
+    # finite probabilities may also sum past the float range
+    for leaf_probs, message in (
+        ([float("inf"), 0.5], "leaf_probs must be finite; leaf probabilities sum to inf, not 1"),
+        ([1e308, 1e308], "leaf probabilities sum to inf, not 1"),
+    ):
+        doc = emit_scenario(scen_b)
+        doc["tree"]["leaf_probs"] = leaf_probs
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "mveq.cli", "solve-linear-mv",
+                               "--input", str(path)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eta2", [1.0, 2.0], "agent 0: eta2 must have length d2=1"),
+    ("xi_n", [1.0, 2.0, 3.0], "agent 0: xi_n must have one value per leaf"),
+])
+def test_cli_malformed_agent_is_a_validation_error(scen_a, tmp_path, capsys, field, value,
+                                                   message):
+    doc = emit_scenario(scen_a)
+    doc["agents"][0][field] = value
+    path = tmp_path / "agent.json"
     path.write_text(json.dumps(doc))
-    proc = subprocess.run([sys.executable, "-m", "mveq.cli", "solve-linear-mv", "--input",
-                           str(path)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("validation error: leaf_probs must be finite; "
-                           "leaf probabilities sum to inf, not 1\n")
+    for command in ("solve-quadratic", "frontier"):
+        assert run_cli([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
 
 
 def test_cli_loads_scenario_once(scen_a, tmp_path, capsys, monkeypatch):

@@ -567,3 +567,123 @@ def test_sweep_slot_arrays_read_only():
         with pytest.raises(ValueError):
             a[0] = 1.0
     assert bits(op.values(h)) == bits(GainsOperator(tree, prices).values(h))
+
+
+def old_one_asset_step(tree, prices):
+    """Reference copy of the engine's one-asset level step as it ran on
+    ``(k, b, 1)`` arrays: the per-level data, ``L``, ``beta`` and ``y``."""
+    n = tree.n_nodes
+    ds = np.zeros((n + 1, 1))
+    ds[:n] = tree.increments(prices)
+    sp = np.zeros(n + 1)
+    sp[:n] = np.sqrt(tree.cond_prob)
+    L, sl, step = np.ones(n + 1), np.ones(n + 1), np.ones(n + 1)
+    beta = np.zeros((n, 1))
+    levels = []
+    for lv in reversed(tree.levels()):
+        nodes, kids = lv.nodes, lv.kids
+        wgt = sp[kids] * sl[kids]
+        dsk = ds[kids]
+        x = wgt[:, :, None] * dsk
+        n2 = np.einsum("kbi,kbi->ki", x, x)
+        pinv = (x / np.where(n2 > 0.0, n2, 1.0)[:, None, :]).transpose(0, 2, 1)
+        pw = pinv * wgt[:, None, :]
+        b = pw.sum(axis=2)
+        gain = (dsk @ b[:, :, None])[:, :, 0]
+        res = wgt * (1.0 - gain)
+        beta[nodes] = b
+        step[kids] = 1.0 - gain
+        Ln = (res * res).sum(axis=1)
+        L[nodes] = Ln
+        live = Ln > mvh.L_CUT
+        sl[nodes] = np.sqrt(Ln * live)
+        inv_L = live / np.where(live, Ln, 1.0)
+        m = np.concatenate([pw, (res * wgt)[:, None, :]], axis=1)
+        levels.append(mvh._Level(nodes, kids, dsk, b[:, :, None], m, inv_L, x, wgt, res))
+    return levels[::-1], L[:n], beta, tree.accumulate(step[:n], 0, np.multiply)
+
+
+def old_forward(tree, levels, xis, capital):
+    """Reference copy of the forward sweep as it gathered the strategies
+    by their position among the non-terminal nodes."""
+    nt = tree.nonterminal()
+    wealth = np.zeros((tree.n_nodes + 1, len(capital)))
+    wealth[0] = capital
+    coords = np.zeros((len(capital), len(nt), 1))
+    for lv, xi in zip(levels, xis):
+        vn = wealth[lv.nodes]
+        th = xi - lv.beta * vn[:, None, :]
+        coords[:, np.searchsorted(nt, lv.nodes)] = th.transpose(2, 0, 1)
+        wealth[lv.kids] = vn[:, None, :] + lv.dsk @ th
+    theta = np.zeros((len(capital), tree.n_nodes, 1))
+    theta[:, nt] = coords
+    return theta, wealth[:-1]
+
+
+def one_asset_markets(request):
+    """The conftest markets at their constructed prices, 60 generated
+    one-asset markets, and markets where ``L`` vanishes: the riskless ones
+    above, the last asset of ``constructed-5`` and ``constructed-8`` and
+    the one-asset constructed markets among seeds 0-29."""
+    from mveq import LinearMV
+    from mveq.linear_mv import solve_linear_mv
+
+    out = []
+    for name in ("scen_a", "scen_b", "scen_c", "scen_c_prime", "scen_d"):
+        s = request.getfixturevalue(name)
+        lin = isinstance(s.agents[0].preference, LinearMV)
+        out.append((name, s.tree, solve_linear_mv(s).prices if lin else construct_prices(s)))
+    for seed in range(60):
+        d1 = seed % 2
+        s = generate_random_scenario(seed, horizon=1 + seed % 4, branching=2 + seed % 3,
+                                     d1=d1, d2=1 - d1, n_agents=1 + seed % 3)
+        out.append((f"generated-{seed}", s.tree, construct_prices(s)))
+    coin = request.getfixturevalue("coin_tree")
+    out.append(("riskless-root", coin, np.array([0.5, 1.0, 1.0])[:, None]))
+    out.append(("riskless-node", *riskless_node_market()))
+    for seed in range(30):
+        tree, prices = constructed_market(np.random.default_rng(seed))
+        if seed in (5, 8) or prices.shape[1] == 1:
+            out.append((f"constructed-{seed}", tree, prices[:, -1:]))
+    return out
+
+
+def test_one_asset_level_step_keeps_its_bits(request):
+    rng = np.random.default_rng(11)
+    markets = one_asset_markets(request)
+    assert len(markets) >= 70
+    vanishing = 0
+    for name, tree, prices in markets:
+        op = GainsOperator(tree, prices)
+        levels, L, beta, y = old_one_asset_step(tree, op.prices)
+        assert bits([op.L, op.beta, op.y, op.theta1]) == bits([L, beta, y, beta * y[:, None]]), name
+        for new, old in zip(op._levels, levels, strict=True):
+            assert bits(new) == bits(old), name
+        vanishing += bool(np.any(L[tree.nonterminal()] <= mvh.L_CUT))
+        # the same sweeps on the old level data
+        shell = object.__new__(GainsOperator)
+        shell.tree, shell.prices, shell._levels = tree, op.prices, levels
+        for m in (1, 3):
+            H = rng.uniform(-2.0, 2.0, (tree.n_leaves, m))
+            v, xis = shell._backward(H)
+            v_bar, eps2 = op.values(H)
+            assert bits([v_bar, eps2]) == bits([v[:-1], shell._errors(mvh._Sweep(None, v, xis))]), name
+            for capital in (np.zeros(m), v[0]):
+                assert bits(op._forward(op._sweep(H).xis, capital)) == \
+                    bits(old_forward(tree, levels, xis, capital)), name
+    assert vanishing >= 4
+
+
+def test_solve_quadratic_runs_no_y_sweep(monkeypatch):
+    from mveq.quadratic import solve_quadratic
+
+    for d1, d2 in ((0, 1), (1, 1)):
+        s = generate_random_scenario(6, horizon=3, branching=3, d1=d1, d2=d2, n_agents=3)
+        monkeypatch.setattr(mvh, "_last", None)
+        assert solve_quadratic(s).verdict == "Equilibrium"
+        op = mvh._last
+        assert op._y is None and op._theta1 is None
+        # y and theta1 on first read
+        y = op.y
+        assert op.y is y and not y.flags.writeable
+        assert bits([op.theta1]) == bits([op.beta * y[:, None]])

@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mveq import (
     AgentSpec,
+    FiltrationTree,
     LinearMV,
     Quadratic,
     Scenario,
+    agent_frontier,
     aggregate_endowment,
+    opportunity_process,
+    solve_linear_mv,
     total_endowment,
     validate_scenario,
 )
+from mveq.generate import generate_random_scenario
 from conftest import one_period_tree
 
 
@@ -131,3 +138,73 @@ def test_detects_non_finite_data(scen_a, scen_b, scen_d, bad):
         assert message in validate_scenario(s), message
     for s in (scen_a, scen_b, scen_d):
         assert validate_scenario(s) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_probabilities_summing_past_the_float_range(scen_a):
+    # only validation reports the overflow; no warning on the way
+    tree = FiltrationTree([[1, 2], [], []], [1e308, 1e308])
+    assert validate_scenario(replaced(scen_a, tree=tree)) == [
+        "leaf probabilities sum to inf, not 1"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eta2", [1.0, 2.0], "agent 0: eta2 must have length d2=1"),
+    ("xi_n", [1.0, 2.0, 3.0], "agent 0: xi_n must have one value per leaf"),
+])
+def test_malformed_agent_reaches_validation(scen_a, field, value, message):
+    # the endowment matrix is built on first use, after validation
+    assert validate_scenario(replaced(scen_a, **{field: np.array(value)})) == [message]
+
+
+def test_scenario_arrays_are_read_only_copies():
+    s = generate_random_scenario(4, horizon=2, branching=2, d1=1, d2=1, n_agents=2,
+                                 preference_kind="linear_mv")
+    inputs = dict(s0_fin=np.array(s.s0_fin), m_fin=np.array(s.m_fin),
+                  dividends=np.array(s.dividends))
+    eta2, xi_n = np.array(s.agents[0].eta2), np.array(s.agents[0].xi_n)
+    agents = [AgentSpec(eta2, xi_n, s.agents[0].preference), *s.agents[1:]]
+    own = Scenario(tree=s.tree, d1=s.d1, d2=s.d2, agents=agents, **inputs)
+    assert isinstance(own.agents, tuple)
+    report = solve_linear_mv(own)
+    before = [report.prices.tobytes(), own.endowments().tobytes()]
+    # the caller's arrays change after construction: the scenario does not
+    for a in (*inputs.values(), eta2, xi_n):
+        a += 1.0
+    agents.pop()
+    assert len(own.agents) == 2
+    assert [solve_linear_mv(own).prices.tobytes(), own.endowments().tobytes()] == before
+    for a in (own.s0_fin, own.m_fin, own.dividends, own.agents[0].eta2,
+              own.agents[0].xi_n, own.endowments(), total_endowment(own, 1)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_replace_rebuilds_the_endowment_matrix(scen_a):
+    np.testing.assert_array_equal(scen_a.endowments(), [[2.0], [1.0]])
+    doubled = replace(scen_a, dividends=2.0 * scen_a.dividends)
+    np.testing.assert_array_equal(doubled.endowments(), [[4.0], [2.0]])
+    richer = replace(scen_a, agents=[*scen_a.agents, AgentSpec([0.5], [1.0, 0.0], Quadratic(3.0))])
+    np.testing.assert_array_equal(richer.endowments(), [[2.0, 2.0], [1.0, 0.5]])
+    np.testing.assert_array_equal(aggregate_endowment(richer), [4.0, 1.5])
+    np.testing.assert_array_equal(scen_a.endowments(), [[2.0], [1.0]])
+
+
+def test_endowment_matrix_built_once_per_frontier_session(monkeypatch):
+    s = generate_random_scenario(2, horizon=3, branching=3, d1=1, d2=1, n_agents=5,
+                                 preference_kind="linear_mv")
+    builds = []
+    real = Scenario.endowments
+
+    def counting(self):
+        if self._endowments is None:
+            builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Scenario, "endowments", counting)
+    r = solve_linear_mv(s)
+    assert r.exists
+    for k in range(len(s.agents)):
+        agent_frontier(s, r.prices, k)
+    opportunity_process(s.tree, r.prices, r.gamma_bar - aggregate_endowment(s))
+    assert builds == [s]

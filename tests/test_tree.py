@@ -56,9 +56,38 @@ def test_random_tree_is_consistent():
 
 
 def test_infinite_leaf_probability_is_left_to_validation():
-    # inf / inf would warn; the children of the infinite node get NaN
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tree = FiltrationTree([[1, 2], [], []], [np.inf, 0.5])
-    assert tree.prob[0] == np.inf
-    assert np.all(np.isnan(tree.cond_prob[1:]))
+    # inf / inf, or finite probabilities summing past the float range,
+    # would warn; the children of the infinite node get NaN
+    for leaf_probs in ([np.inf, 0.5], [1e308, 1e308]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = FiltrationTree([[1, 2], [], []], leaf_probs)
+        assert tree.prob[0] == np.inf
+        assert np.all(np.isnan(tree.cond_prob[1:]))
+
+
+def test_level_plan_built_once_and_read_only():
+    tree = FiltrationTree([[1, 2], [3, 4], [5, 6, 7], [], [], [], [], []],
+                          [0.1, 0.2, 0.3, 0.2, 0.2])
+    levels = tree.levels()
+    assert tree.levels() is levels
+    assert [lv.nodes.tolist() for lv in levels] == [[0], [1, 2]]
+    # children by increasing id, padded with n_nodes; sqrt(p) 0 at the padding
+    assert levels[1].kids.tolist() == [[3, 4, 8], [5, 6, 7]]
+    np.testing.assert_array_equal(levels[1].sqrt_p,
+                                  np.sqrt(np.append(tree.cond_prob, 0.0))[levels[1].kids])
+    assert [lv.parents.tolist() for lv in levels] == [[0, 0], [1, 1, 2, 2, 2]]
+    for lv in levels:
+        for a in lv:
+            with pytest.raises(ValueError):
+                a[0] = 0
+    # accumulate reads the same plan
+    np.testing.assert_array_equal(tree.accumulate(np.ones(8)), [1, 2, 2, 3, 3, 3, 3, 3])
+
+
+def test_level_plan_needs_positive_probabilities():
+    tree = FiltrationTree([[1, 2], [3, 4], [5, 6], [], [], [], []], [0.5, 0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="node 2 has nonpositive probability"):
+        tree.levels()
+    # the forward sweep needs only the parents
+    assert list(tree.subtree(2)) == [2, 5, 6]
